@@ -25,7 +25,7 @@ print("after widening to 4 bytes: ", accounting.totals())
 trie = Trie(1)
 for word in (b"tar", b"tag", b"tab", b"tin"):
     trie.index_of(word)
-print("small trie (per-node cost):", accounting.totals())
+print("small trie (one block):    ", accounting.totals())
 
 v.destroy()
 u.destroy()

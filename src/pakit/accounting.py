@@ -47,17 +47,17 @@ class AccountingRegistry:
         """Declare a new logical size for a live token (realloc analogue)."""
         if new_size < 0:
             raise DomainFault("new_size must be >= 0, got %d" % new_size)
-        if token.released:
-            raise ContractFault("resize of a released allocation token")
         with self._lock:
+            if token.released:
+                raise ContractFault("resize of a released allocation token")
             self._bytes += new_size - token.size
             token.size = new_size
 
     def release(self, token: AllocationToken) -> None:
         """Release a live token, subtracting its current logical size."""
-        if token.released:
-            raise ContractFault("double release of an allocation token")
         with self._lock:
+            if token.released:
+                raise ContractFault("double release of an allocation token")
             token.released = True
             self._blocks -= 1
             self._bytes -= token.size

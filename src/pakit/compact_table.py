@@ -5,7 +5,7 @@ strictly sorted by key, so lookups are O(log n) binary searches while
 inserts and deletes shift the tail in O(n).  Storage is always exactly
 entry_count * pair_size bytes plus a small header, which is the point:
 this table trades mutation speed for the smallest possible footprint,
-and is the building block for trie nodes.
+which suits tables that are built once and then only read.
 
 Keys and data are opaque fixed-size byte blocks.  The default key order
 is lexicographic, which for big-endian fixed-width unsigned integers

@@ -6,63 +6,62 @@ The first distinct string inserted gets index 0, the next 1, and so on,
 so n strings always occupy exactly the indices 0..n-1.  The inverse map
 walks parent links from the terminal node back to the root.
 
-Each node keeps its children in a CompactTable, which keeps per-node
-overhead at the minimum the child count allows.  Strings cannot be
-deleted: removal would punch holes in the dense numbering.
+Nodes are dense ids (the root, which spells the empty string, is 0) and
+live in flat columns: each node's parent, incoming symbol and assigned
+index.  Every edge of the whole trie sits in one dict keyed by the
+packed pair `parent << (8 * symbol_width) | symbol`, so a step down the
+trie is one dict lookup and the trie registers one accounting block.
+Strings cannot be deleted: removal would punch holes in the dense
+numbering.
 """
 
+import struct
+from array import array
+
 from . import accounting, wire
-from .compact_table import CompactTable
 from .errors import ContractFault, DecodeFault, DomainFault, RangeFault
 
 _HEADER_BYTES = 48
-_NODE_BYTES = 24  # parent id, incoming symbol, assigned index
-
-
-class _TrieNode:
-    __slots__ = ("children", "parent", "symbol", "index")
-
-    def __init__(self, children: CompactTable, parent: int, symbol: int | None):
-        self.children = children
-        self.parent = parent
-        self.symbol = symbol
-        self.index = None
+_NODE_BYTES = 16  # parent id and assigned index; the symbol adds symbol_width
+_EDGE_BYTES = 16  # packed (parent, symbol) key and child id
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_END = object()
 
 
 class Trie:
     """Interns symbol sequences as consecutive unsigned integers."""
 
-    __slots__ = ("symbol_width", "_nodes", "_index_to_node", "_token")
+    __slots__ = (
+        "symbol_width", "_shift", "_edges", "_parents", "_symbols", "_indices",
+        "_index_to_node", "_token",
+    )
 
     def __init__(self, symbol_width: int = 4):
         if symbol_width not in (1, 2, 4, 8):
             raise DomainFault("symbol_width must be 1, 2, 4, or 8, got %r" % symbol_width)
         self.symbol_width = symbol_width
-        self._nodes: list[_TrieNode] = []
-        self._index_to_node: list[int] = []
-        self._token = accounting.register(_HEADER_BYTES)
-        self._new_node(parent=-1, symbol=None)  # root spells the empty string
+        self._shift = 8 * symbol_width
+        self._edges: dict[int, int] = {}
+        self._parents = array("q", [-1])
+        self._symbols = array("Q", [0])
+        self._indices = array("q", [-1])
+        self._index_to_node = array("q")
+        self._token = accounting.register(self._footprint())
 
     def _check_live(self):
         if self._token.released:
             raise ContractFault("operation on a destroyed Trie")
 
-    def _new_node(self, parent: int, symbol: int | None) -> int:
-        children = CompactTable(key_size=self.symbol_width, datum_size=8)
-        self._nodes.append(_TrieNode(children, parent, symbol))
-        self._update_footprint()
-        return len(self._nodes) - 1
+    def _footprint(self) -> int:
+        return (
+            _HEADER_BYTES
+            + (_NODE_BYTES + self.symbol_width) * len(self._parents)
+            + _EDGE_BYTES * len(self._edges)
+            + 8 * len(self._index_to_node)
+        )
 
-    def _update_footprint(self):
-        footprint = _HEADER_BYTES + _NODE_BYTES * len(self._nodes) + 8 * len(self._index_to_node)
-        accounting.resize(self._token, footprint)
-
-    def _symbol_bytes(self, symbol: int) -> bytes:
-        if symbol < 0 or symbol >> (8 * self.symbol_width):
-            raise RangeFault(
-                "symbol %d does not fit in %d bytes" % (symbol, self.symbol_width)
-            )
-        return symbol.to_bytes(self.symbol_width, "big")
+    def _range_fault(self, symbol: int) -> RangeFault:
+        return RangeFault("symbol %d does not fit in %d bytes" % (symbol, self.symbol_width))
 
     def __len__(self) -> int:
         return len(self._index_to_node)
@@ -70,35 +69,64 @@ class Trie:
     def index_of(self, symbols) -> int:
         """Return the index of the sequence, interning it if new."""
         self._check_live()
-        node_id = 0
-        for symbol in symbols:
-            key = self._symbol_bytes(symbol)
-            node = self._nodes[node_id]
-            child = node.children.lookup(key)
+        edges, shift = self._edges, self._shift
+        node = 0
+        rest = iter(symbols)
+        for symbol in rest:
+            if symbol < 0 or symbol >> shift:
+                raise self._range_fault(symbol)
+            child = edges.get(node << shift | symbol)
             if child is None:
-                child_id = self._new_node(parent=node_id, symbol=symbol)
-                node.children.insert(key, child_id.to_bytes(8, "big"))
-                node_id = child_id
-            else:
-                node_id = int.from_bytes(child, "big")
-        node = self._nodes[node_id]
-        if node.index is None:
-            node.index = len(self._index_to_node)
-            self._index_to_node.append(node_id)
-            self._update_footprint()
-        return node.index
+                return self._grow(node, symbol, rest)
+            node = child
+        index = self._indices[node]
+        if index < 0:
+            index = self._assign(node)
+            accounting.resize(self._token, self._footprint())
+        return index
+
+    def _assign(self, node: int) -> int:
+        index = self._indices[node] = len(self._index_to_node)
+        self._index_to_node.append(node)
+        return index
+
+    def _grow(self, node: int, symbol: int, rest) -> int:
+        """Add the path spelling `symbol` then `rest` below `node`; return its index.
+
+        Nodes made before a symbol that does not fit stay interned and
+        counted, like the prefixes of any other string.
+        """
+        edges, shift = self._edges, self._shift
+        parents, symbols, indices = self._parents, self._symbols, self._indices
+        try:
+            while True:
+                child = len(parents)
+                edges[node << shift | symbol] = child
+                parents.append(node)
+                symbols.append(symbol)
+                indices.append(-1)
+                node = child
+                symbol = next(rest, _END)
+                if symbol is _END:
+                    return self._assign(node)
+                if symbol < 0 or symbol >> shift:
+                    raise self._range_fault(symbol)
+        finally:
+            accounting.resize(self._token, self._footprint())
 
     def find(self, symbols) -> int | None:
         """Return the sequence's index if already interned, else None."""
         self._check_live()
-        node_id = 0
+        edges, shift = self._edges, self._shift
+        node = 0
         for symbol in symbols:
-            key = self._symbol_bytes(symbol)
-            child = self._nodes[node_id].children.lookup(key)
-            if child is None:
+            if symbol < 0 or symbol >> shift:
+                raise self._range_fault(symbol)
+            node = edges.get(node << shift | symbol)
+            if node is None:
                 return None
-            node_id = int.from_bytes(child, "big")
-        return self._nodes[node_id].index
+        index = self._indices[node]
+        return None if index < 0 else index
 
     def string_of(self, index: int) -> tuple[int, ...]:
         """Return the exact sequence that was assigned `index`."""
@@ -107,34 +135,40 @@ class Trie:
             raise RangeFault(
                 "index %d out of range for %d strings" % (index, len(self._index_to_node))
             )
-        symbols = []
-        node = self._nodes[self._index_to_node[index]]
-        while node.symbol is not None:
-            symbols.append(node.symbol)
-            node = self._nodes[node.parent]
-        symbols.reverse()
-        return tuple(symbols)
+        parents, symbols = self._parents, self._symbols
+        spelled = []
+        node = self._index_to_node[index]
+        while node:
+            spelled.append(symbols[node])
+            node = parents[node]
+        spelled.reverse()
+        return tuple(spelled)
 
     def write(self, stream) -> None:
-        """Write the string count, then each interned string in index order."""
+        """Write the string count, then each interned string in index order.
+
+        Each string is its 8-byte length followed by its symbols, each
+        `symbol_width` bytes, all big-endian.
+        """
         self._check_live()
+        code = _STRUCT_CODES[self.symbol_width]
         wire.write_uint(stream, len(self), 8)
         for index in range(len(self)):
             symbols = self.string_of(index)
             wire.write_uint(stream, len(symbols), 8)
-            for symbol in symbols:
-                wire.write_uint(stream, symbol, self.symbol_width)
+            stream.write(struct.pack(">%d%s" % (len(symbols), code), *symbols))
 
     @classmethod
     def read(cls, stream, symbol_width: int) -> "Trie":
         """Inverse of write: re-intern every string in index order."""
         trie = cls(symbol_width)
+        code = _STRUCT_CODES[symbol_width]
         try:
             count = wire.read_uint(stream, 8)
             for expected in range(count):
                 length = wire.read_uint(stream, 8)
-                symbols = [wire.read_uint(stream, symbol_width) for _ in range(length)]
-                assigned = trie.index_of(symbols)
+                raw = wire.read_exact(stream, length * symbol_width)
+                assigned = trie.index_of(struct.unpack(">%d%s" % (length, code), raw))
                 if assigned != expected:
                     raise DecodeFault(
                         "duplicate string in stream: index %d re-assigned as %d"
@@ -146,10 +180,11 @@ class Trie:
         return trie
 
     def destroy(self) -> None:
-        """Release the trie and every node's child table."""
+        """Release the trie's one accounting block and drop its storage."""
         self._check_live()
-        for node in self._nodes:
-            node.children.destroy()
         accounting.release(self._token)
-        self._nodes = []
-        self._index_to_node = []
+        self._edges = {}
+        self._parents = array("q")
+        self._symbols = array("Q")
+        self._indices = array("q")
+        self._index_to_node = array("q")

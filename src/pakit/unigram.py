@@ -89,6 +89,8 @@ class UnigramTable:
     def read(cls, stream) -> "UnigramTable":
         """Inverse of write; reproduces counts, width, and total."""
         alphabet_size = wire.read_uint(stream, 8)
+        if alphabet_size < 1:
+            raise DecodeFault("alphabet_size must be >= 1, got %d" % alphabet_size)
         width = wire.read_uint(stream, 1)
         if width not in _WIDTHS:
             raise DecodeFault("invalid counter width %d" % width)

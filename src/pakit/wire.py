@@ -13,6 +13,9 @@ _WIDTHS = (1, 2, 4, 8)
 # 8-byte length prefix of every variable-length block
 BLOCK_LENGTH_WIDTH = 8
 
+# largest single read; longer payloads are read and joined chunk by chunk
+READ_CHUNK_BYTES = 1 << 20
+
 
 def write_uint(stream, value: int, width: int) -> None:
     """Write `value` as exactly `width` big-endian bytes (width in 1/2/4/8)."""
@@ -41,18 +44,24 @@ def write_block(stream, payload: bytes) -> None:
 
 def read_block(stream) -> bytes:
     """Read one length-prefixed block; inverse of write_block."""
-    length = read_uint(stream, BLOCK_LENGTH_WIDTH)
-    payload = stream.read(length)
-    if len(payload) != length:
-        raise DecodeFault(
-            "truncated block: wanted %d payload bytes, got %d" % (length, len(payload))
-        )
-    return payload
+    return read_exact(stream, read_uint(stream, BLOCK_LENGTH_WIDTH))
 
 
 def read_exact(stream, count: int) -> bytes:
-    """Read exactly `count` raw bytes or raise DecodeFault."""
-    data = stream.read(count)
-    if len(data) != count:
-        raise DecodeFault("truncated stream: wanted %d bytes, got %d" % (count, len(data)))
-    return data
+    """Read exactly `count` raw bytes or raise DecodeFault.
+
+    Reads at most READ_CHUNK_BYTES per call, so a hostile length field
+    costs no more memory than the stream really holds; a payload no
+    longer than one chunk takes a single read.
+    """
+    chunks = []
+    remaining = count
+    while remaining > 0:
+        chunk = stream.read(min(remaining, READ_CHUNK_BYTES))
+        if not chunk:
+            raise DecodeFault(
+                "truncated stream: wanted %d bytes, got %d" % (count, count - remaining)
+            )
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return chunks[0] if len(chunks) == 1 else b"".join(chunks)

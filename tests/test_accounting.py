@@ -1,5 +1,6 @@
 import random
 import threading
+import time
 
 import pytest
 
@@ -152,3 +153,47 @@ def test_module_level_registry_is_shared():
     assert accounting.totals() == (before[0] + 1, before[1] + 12)
     accounting.release(token)
     assert accounting.totals() == before
+
+
+class _YieldingLock:
+    """A lock that sleeps before it acquires, so racing threads all reach it together."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def __enter__(self):
+        time.sleep(0.001)
+        self._lock.acquire()
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+def test_racing_releases_of_one_token_succeed_once():
+    threads = 8
+    for _ in range(20):
+        reg = AccountingRegistry()
+        reg._lock = _YieldingLock()
+        keep = reg.register(7)
+        token = reg.register(16)
+        barrier = threading.Barrier(threads)
+        outcomes = []
+
+        def release():
+            barrier.wait(timeout=10)
+            try:
+                reg.release(token)
+                outcomes.append("released")
+            except ContractFault:
+                outcomes.append("fault")
+
+        workers = [threading.Thread(target=release) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        assert sorted(outcomes) == ["fault"] * (threads - 1) + ["released"]
+        assert reg.totals() == (1, 7)
+        reg.release(keep)
+        assert reg.totals() == (0, 0)

@@ -1,10 +1,11 @@
+import hashlib
 import random
 from io import BytesIO
 
 import pytest
 
 from pakit import accounting
-from pakit.errors import ContractFault, DomainFault, RangeFault
+from pakit.errors import ContractFault, DecodeFault, DomainFault, RangeFault
 from pakit.trie import Trie
 
 
@@ -150,3 +151,75 @@ def test_use_after_destroy_faults():
     t.destroy()
     with pytest.raises(ContractFault):
         t.index_of([1])
+
+
+def test_whole_trie_is_one_accounting_block():
+    blocks_before, _ = accounting.totals()
+    t = Trie(2)
+    for i in range(500):
+        t.index_of([i % 7, i, 3 * i])
+    assert len(t) == 500
+    assert accounting.totals()[0] == blocks_before + 1
+    t.destroy()
+
+
+def test_write_format_is_unchanged():
+    # Digest taken from the per-node trie that the edge store replaced, so it
+    # pins the wire format byte for byte.
+    t = Trie(2)
+    strings = [
+        (3,), (3, 300), (), (1, 2, 3, 4), (300,), (65535, 0, 65535), (7, 7, 7, 7, 7), (3, 300, 1),
+    ]
+    for s in strings:
+        t.index_of(s)
+    stream = BytesIO()
+    t.write(stream)
+    assert len(stream.getvalue()) == 110
+    assert hashlib.sha256(stream.getvalue()).hexdigest() == (
+        "b206c3d19ff19319566f73b7be3d6588eaf83a30ce22a80de85afe5e6b379c8f"
+    )
+    t.destroy()
+
+
+def test_footprint_counts_nodes_made_before_a_range_fault():
+    blocks_before, bytes_before = accounting.totals()
+    t = Trie(1)
+    with pytest.raises(RangeFault):
+        t.index_of([1, 2, 300])
+    # root plus the nodes for 1 and 2, two edges, no string yet
+    nodes, edges, strings = 3, 2, 0
+    footprint = 48 + nodes * (16 + 1) + 16 * edges + 8 * strings
+    assert accounting.totals() == (blocks_before + 1, bytes_before + footprint)
+    assert len(t) == 0
+    assert t.index_of([1, 2]) == 0  # the prefix is already there: only an index is added
+    assert accounting.totals() == (blocks_before + 1, bytes_before + footprint + 8)
+    t.destroy()
+    assert accounting.totals() == (blocks_before, bytes_before)
+
+
+def test_find_symbol_out_of_range_faults():
+    t = Trie(1)
+    with pytest.raises(RangeFault):
+        t.find([256])
+    with pytest.raises(RangeFault):
+        t.find([-1])
+    t.destroy()
+
+
+def test_read_rejects_duplicate_string():
+    # two strings, both (5,) at width 1
+    stream = BytesIO(
+        bytes.fromhex("0000000000000002" "0000000000000001" "05" "0000000000000001" "05")
+    )
+    with pytest.raises(DecodeFault):
+        Trie.read(stream, symbol_width=1)
+
+
+def test_read_truncated_string_faults():
+    t = Trie(4)
+    t.index_of([1, 2, 3])
+    stream = BytesIO()
+    t.write(stream)
+    t.destroy()
+    with pytest.raises(DecodeFault):
+        Trie.read(BytesIO(stream.getvalue()[:-1]), symbol_width=4)

@@ -191,3 +191,9 @@ def test_use_after_destroy_faults():
     u.destroy()
     with pytest.raises(ContractFault):
         u.increment(0)
+
+
+def test_read_of_zero_alphabet_is_a_decode_fault():
+    stream = BytesIO((0).to_bytes(8, "big") + b"\x01")
+    with pytest.raises(DecodeFault):
+        UnigramTable.read(stream)

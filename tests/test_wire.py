@@ -1,9 +1,10 @@
+import tempfile
 from io import BytesIO
 
 import pytest
 from hypothesis import given, strategies as st
 
-from pakit import wire
+from pakit import CompactTable, UnigramTable, Vector, wire
 from pakit.errors import DecodeFault, DomainFault, RangeFault
 
 
@@ -117,3 +118,48 @@ def test_self_delimiting_sequence():
     assert wire.read_block(stream) == b"mid"
     assert wire.read_uint(stream, 8) == 9
     assert stream.read() == b""
+
+
+_HOSTILE_LENGTH = (1 << 60).to_bytes(8, "big")
+
+
+@pytest.mark.parametrize(
+    "read, header",
+    [
+        (wire.read_block, _HOSTILE_LENGTH),
+        (lambda s: CompactTable.read(s, key_size=4, datum_size=4), _HOSTILE_LENGTH),
+        (lambda s: Vector.read(s, element_size=8), _HOSTILE_LENGTH),
+        (UnigramTable.read, _HOSTILE_LENGTH + b"\x01"),  # alphabet size, counter width
+    ],
+    ids=["block", "compact_table", "vector", "unigram"],
+)
+def test_hostile_length_faults_without_allocating(read, header):
+    with tempfile.TemporaryFile() as tmp:
+        tmp.write(header + b"only a few payload bytes")
+        tmp.seek(0)
+        with pytest.raises(DecodeFault):
+            read(tmp)
+
+
+class _CountingReads(BytesIO):
+    def __init__(self, data):
+        super().__init__(data)
+        self.reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
+
+def test_read_exact_takes_one_read_up_to_a_chunk():
+    stream = _CountingReads(bytes(wire.READ_CHUNK_BYTES))
+    assert len(wire.read_exact(stream, wire.READ_CHUNK_BYTES)) == wire.READ_CHUNK_BYTES
+    assert stream.reads == 1
+
+
+def test_read_exact_joins_chunks_of_a_long_payload():
+    payload = bytes(range(256)) * (wire.READ_CHUNK_BYTES // 128 + 3)
+    stream = _CountingReads(payload + b"tail")
+    assert wire.read_exact(stream, len(payload)) == payload
+    assert stream.reads == 3
+    assert stream.read() == b"tail"
