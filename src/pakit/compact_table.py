@@ -9,8 +9,15 @@ which suits tables that are built once and then only read.
 
 Keys and data are opaque fixed-size byte blocks.  The default key order
 is lexicographic, which for big-endian fixed-width unsigned integers
-coincides with numeric order.
+coincides with numeric order.  Under that order the binary search, and
+the order check when a table is read, run in numpy on a zero-copy view
+of the same pair buffer (key field `S<key_size>`, datum field
+`V<datum_size>`); a caller-supplied `key_compare` is searched in Python.
+The view is cached between lookups and dropped before every resize of
+the buffer, which a live view would block.
 """
+
+import numpy as np
 
 from . import accounting, wire
 from .errors import ContractFault, DecodeFault, DomainFault, RangeFault
@@ -21,7 +28,7 @@ _HEADER_BYTES = 48
 class CompactTable:
     """Sorted (key, datum) table over fixed-size byte blocks."""
 
-    __slots__ = ("key_size", "datum_size", "key_compare", "_pairs", "_count", "_token")
+    __slots__ = ("key_size", "datum_size", "key_compare", "_pairs", "_count", "_token", "_keys")
 
     def __init__(self, key_size: int, datum_size: int, key_compare=None):
         if key_size < 1:
@@ -33,6 +40,7 @@ class CompactTable:
         self.key_compare = key_compare
         self._pairs = bytearray()
         self._count = 0
+        self._keys = None  # cached key-field view of _pairs; None whenever _pairs may resize
         self._token = accounting.register(_HEADER_BYTES)
 
     def _check_live(self):
@@ -53,17 +61,31 @@ class CompactTable:
         offset = rank * (self.key_size + self.datum_size) + self.key_size
         return bytes(self._pairs[offset : offset + self.datum_size])
 
+    def _key_view(self):
+        """The keys of _pairs as a zero-copy numpy `S<key_size>` array, cached.
+
+        numpy compares `S` values with trailing NUL bytes stripped, which
+        for keys of one fixed width is exactly lexicographic byte order.
+        """
+        if self._keys is None:
+            if self.datum_size:
+                pair = np.dtype([("key", "S%d" % self.key_size), ("datum", "V%d" % self.datum_size)])
+                self._keys = np.frombuffer(self._pairs, dtype=pair)["key"]
+            else:
+                self._keys = np.frombuffer(self._pairs, dtype="S%d" % self.key_size)
+        return self._keys
+
     def _search(self, key: bytes) -> tuple[bool, int]:
         """Binary search: (True, rank) if present, else (False, insertion rank)."""
         compare = self.key_compare
+        if compare is None:
+            rank = int(self._key_view().searchsorted(key))
+            offset = rank * (self.key_size + self.datum_size)
+            return rank < self._count and self._pairs.startswith(key, offset), rank
         lo, hi = 0, self._count
         while lo < hi:
             mid = (lo + hi) // 2
-            probe = self._key_at(mid)
-            if compare is None:
-                order = -1 if key < probe else (0 if key == probe else 1)
-            else:
-                order = compare(key, probe)
+            order = compare(key, self._key_at(mid))
             if order == 0:
                 return True, mid
             if order < 0:
@@ -102,6 +124,7 @@ class CompactTable:
         if found:
             self._pairs[offset + self.key_size : offset + pair_size] = datum
             return True
+        self._keys = None
         self._pairs[offset:offset] = key + datum
         self._count += 1
         self._update_footprint()
@@ -115,6 +138,7 @@ class CompactTable:
             return False
         pair_size = self.key_size + self.datum_size
         offset = rank * pair_size
+        self._keys = None
         del self._pairs[offset : offset + pair_size]
         self._count -= 1
         self._update_footprint()
@@ -147,18 +171,30 @@ class CompactTable:
         table = cls(key_size, datum_size, key_compare)
         table._pairs = bytearray(payload)
         table._count = count
-        for rank in range(1, count):  # stream must already obey the key order
-            previous, current = table._key_at(rank - 1), table._key_at(rank)
-            order = (previous > current) - (previous < current) if key_compare is None \
-                else key_compare(previous, current)
-            if order >= 0:
-                table.destroy()
+        try:
+            rank = table._first_unsorted_rank()  # stream must already obey the key order
+            if rank is not None:
                 raise DecodeFault("stream keys not strictly sorted at rank %d" % rank)
+        except BaseException:
+            table.destroy()
+            raise
         table._update_footprint()
         return table
+
+    def _first_unsorted_rank(self):
+        """Smallest rank whose key is not above the key before it, or None."""
+        if self.key_compare is None:
+            keys = self._key_view()
+            out_of_order = np.flatnonzero(keys[1:] <= keys[:-1])
+            return int(out_of_order[0]) + 1 if out_of_order.size else None
+        for rank in range(1, self._count):
+            if self.key_compare(self._key_at(rank - 1), self._key_at(rank)) >= 0:
+                return rank
+        return None
 
     def destroy(self) -> None:
         """Release the table's storage from the accounting registry."""
         accounting.release(self._token)
+        self._keys = None
         self._pairs = bytearray()
         self._count = 0

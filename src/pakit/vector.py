@@ -5,10 +5,14 @@ in a single contiguous buffer, so a vector of n elements costs
 n * element_size bytes plus a small header.  Supports insertion,
 concatenation, sorting under a caller-supplied order, and portable
 serialization.  Element *contents* are written verbatim; only the
-framing is architecture-independent.
+framing is architecture-independent.  The default (lexicographic) sort
+runs in numpy, in place, on a zero-copy `S<element_size>` view of the
+buffer; a caller-supplied order sorts in Python.
 """
 
 from functools import cmp_to_key
+
+import numpy as np
 
 from . import accounting, wire
 from .errors import ContractFault, DomainFault, RangeFault
@@ -116,11 +120,13 @@ class Vector:
         Defaults to lexicographic byte order.  Not guaranteed stable.
         """
         self._check_live()
-        elements = list(self)
         if compare is None:
-            elements.sort()
-        else:
-            elements.sort(key=cmp_to_key(compare))
+            # numpy orders `S` values with trailing NULs stripped: for one
+            # fixed width that is lexicographic byte order
+            np.frombuffer(self._buf, dtype="S%d" % self.element_size).sort()
+            return
+        elements = list(self)
+        elements.sort(key=cmp_to_key(compare))
         self._buf = bytearray(b"".join(elements))
 
     def write(self, stream) -> None:

@@ -3,6 +3,7 @@ import random
 from io import BytesIO
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pakit import accounting
 from pakit.compact_table import CompactTable
@@ -210,3 +211,91 @@ def test_use_after_destroy_faults():
     t.destroy()
     with pytest.raises(ContractFault):
         t.lookup(key4(0))
+
+
+def test_read_destroys_the_table_when_key_compare_raises():
+    t = make({1: b"a", 2: b"b"})
+    stream = BytesIO()
+    t.write(stream)
+    t.destroy()
+    stream.seek(0)
+    with pytest.raises(ZeroDivisionError):
+        CompactTable.read(stream, 4, 1, key_compare=lambda a, b: 1 / 0)
+
+
+def lexicographic(a, b):
+    return (a > b) - (a < b)
+
+
+def pair_stream(keys, datum_size=1):
+    return BytesIO(len(keys).to_bytes(8, "big") + b"".join(k + b"\x07" * datum_size for k in keys))
+
+
+@pytest.mark.parametrize(
+    "keys, rank",
+    [
+        ([key4(1), key4(2), key4(5), key4(4), key4(6)], 3),  # unsorted
+        ([key4(1), key4(2), key4(3), key4(3)], 3),  # duplicate
+        ([b"\x00\x00", b"\x01\x00", b"\x01\x00"], 2),  # duplicate ending in NUL
+        ([b"\x01\x00", b"\x01\x01", b"\x01\x00"], 2),  # trailing NUL sorts first
+        ([b"\x00\x80", b"\x00\xff", b"\x00\x7f"], 2),  # bytes compare unsigned
+        ([b"\x00\x00", b"\x00\x00"], 1),  # two all-zero keys
+    ],
+)
+@pytest.mark.parametrize("key_compare", [None, lexicographic], ids=["default", "key_compare"])
+@pytest.mark.parametrize("datum_size", [0, 2])
+def test_read_order_fault_names_the_first_bad_rank(keys, rank, key_compare, datum_size):
+    stream = pair_stream(keys, datum_size)
+    with pytest.raises(DecodeFault, match=r"not strictly sorted at rank %d$" % rank):
+        CompactTable.read(stream, len(keys[0]), datum_size, key_compare=key_compare)
+
+
+@pytest.mark.parametrize("key_compare", [None, lexicographic], ids=["default", "key_compare"])
+def test_read_accepts_keys_ending_in_nul(key_compare):
+    keys = [b"\x00\x00", b"\x00\x01", b"\x01\x00", b"\x01\x01", b"\x80\x00", b"\xff\x00"]
+    table = CompactTable.read(pair_stream(keys), 2, 1, key_compare=key_compare)
+    assert [k for k, _ in table.items()] == keys
+    for key in keys:
+        assert table.lookup(key) == b"\x07"
+    assert table.lookup(b"\x00\x02") is None
+    table.destroy()
+
+
+# Key bytes drawn mostly from the values where a numpy `S` view could
+# order differently from bytes: NUL (stripped at the end of an `S`
+# value) and the bytes whose sign bit is set.
+edge_bytes = st.one_of(st.sampled_from([0x00, 0x80, 0xFF]), st.integers(0, 255))
+
+
+@pytest.mark.parametrize("key_size", [1, 3, 8])
+@pytest.mark.parametrize("datum_size", [0, 4])
+@given(data=st.data())
+@settings(max_examples=60)
+def test_matches_dict_reference_model(key_size, datum_size, data):
+    keys = st.lists(edge_bytes, min_size=key_size, max_size=key_size).map(bytes)
+    datums = st.binary(min_size=datum_size, max_size=datum_size)
+    steps = data.draw(st.lists(st.tuples(keys, datums, datums, st.booleans()), max_size=40))
+    table = CompactTable(key_size, datum_size)
+    reference = {}
+    try:
+        for key, first, second, remove in steps:
+            assert table.lookup(key) == reference.get(key)
+            assert table.insert(key, first) == (key in reference)
+            reference[key] = first
+            assert table.insert(key, second) is True  # replace in place
+            reference[key] = second
+            if remove:
+                assert table.delete(key) is True
+                del reference[key]
+            assert table.lookup(key) == reference.get(key)
+            assert len(table) == len(reference)
+        ordered = sorted(reference.items())
+        assert list(table.items()) == ordered
+        for rank, pair in enumerate(ordered):
+            assert table.nth(rank) == pair
+        for key, datum in ordered:
+            assert table.delete(key) is True
+            assert table.lookup(key) is None
+        assert len(table) == 0
+    finally:
+        table.destroy()

@@ -98,6 +98,27 @@ def test_sort_matches_reference_sort():
     v.destroy()
 
 
+@pytest.mark.parametrize("element_size", [1, 3, 12])
+@given(data=st.data())
+def test_default_sort_matches_sorted(element_size, data):
+    # NUL and high-bit bytes, often at the end, where a numpy `S` view
+    # could order differently from bytes
+    edge = st.one_of(st.sampled_from([0x00, 0x80, 0xFF]), st.integers(0, 255))
+    elements = data.draw(
+        st.lists(
+            st.one_of(
+                st.lists(edge, min_size=element_size, max_size=element_size).map(bytes),
+                st.integers(0, element_size).map(lambda n: b"\x01" * (element_size - n) + b"\x00" * n),
+            ),
+            max_size=60,
+        )
+    )
+    v = Vector(element_size, elements)
+    v.sort()
+    assert list(v) == sorted(elements)
+    v.destroy()
+
+
 def test_sort_with_custom_compare():
     v = make([1, 3, 2])
     v.sort(lambda a, b: (b > a) - (b < a))  # reverse order
