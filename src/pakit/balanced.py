@@ -11,6 +11,28 @@ ulp.  Sums whose exponents differ by more than ALIGN_CUTOFF bits return
 the larger operand unchanged: the smaller one is below single
 resolution.  Infinities and NaNs are not values here; anything that
 leaves the representation raises instead.
+
+How results are built.  Every result is made with
+tuple.__new__(BalancedNumber, (m, exp)), which skips the NamedTuple's
+keyword-checking __new__ and gives the same type, fields and equality.
+The operations first bring the double result m into the band
+0.5 <= |m| < 1.  Where the range of m is known that takes one
+comparison and an exact doubling or halving: a product of two canonical
+significands lies in [0.25, 1), a quotient in (0.5, 2), an aligned sum
+in [0.5, 2) when no cancellation occurs.  Anything else (cancellation,
+zero, an operand outside the band) goes through frexp, so every double
+gets the same result it would from frexp alone.
+
+How results are rounded.  Inside the band, the single-precision values
+are exactly the multiples of 2**-24, and float32 rounding is rounding
+to the nearest multiple with ties to even.  Adding _ROUND = 1.5 * 2**28
+to m lands in [2**28, 2**29), where a double's ulp is 2**-24 and
+_ROUND itself is an even multiple of it, so that one addition performs
+exactly this rounding (the FPU rounds to nearest, ties to even), and
+subtracting _ROUND again is exact.  The result is bit for bit what a
+float32 pack/unpack round trip gives, including the carry to |m| = 1
+at the top of the binade, which becomes 0.5 with the exponent raised
+by one.
 """
 
 import math
@@ -26,6 +48,9 @@ _EXP_MAX = (1 << 31) - 1
 _PACK_F32 = struct.Struct(">f")
 _PACK_I32 = struct.Struct(">i")
 _LN2 = math.log(2.0)
+_ROUND = 1.5 * 2.0**28  # (m + _ROUND) - _ROUND rounds 0.5 <= |m| < 1 to single precision
+_ALIGN = [2.0**-shift for shift in range(ALIGN_CUTOFF + 1)]  # exact ldexp(1.0, -shift)
+_new = tuple.__new__
 
 
 class BalancedNumber(NamedTuple):
@@ -39,22 +64,23 @@ ZERO = BalancedNumber(0.0, 0)
 ONE = BalancedNumber(0.5, 1)
 
 
-def _round_single(x: float) -> float:
-    return _PACK_F32.unpack(_PACK_F32.pack(x))[0]
-
-
-def _canonical(sig: float, exp: int) -> BalancedNumber:
-    if sig == 0.0:
-        return ZERO
-    m, shift = math.frexp(sig)
-    exp += shift
-    m = _round_single(m)
+def _rounded(m: float, exp: int) -> BalancedNumber:
+    """Round m, already in the band 0.5 <= |m| < 1, and build the value."""
+    m = (m + _ROUND) - _ROUND
     if m == 1.0 or m == -1.0:  # rounding crossed the top of the binade
         m *= 0.5
         exp += 1
-    if not _EXP_MIN <= exp <= _EXP_MAX:
-        raise RangeFault("exponent %d outside 32-bit range" % exp)
-    return BalancedNumber(m, exp)
+    if _EXP_MIN <= exp <= _EXP_MAX:
+        return _new(BalancedNumber, (m, exp))
+    raise RangeFault("exponent %d outside 32-bit range" % exp)
+
+
+def _canonical(sig: float, exp: int) -> BalancedNumber:
+    """sig * 2**exp for any double sig; the path with no range assumption."""
+    if sig == 0.0:
+        return ZERO
+    m, shift = math.frexp(sig)
+    return _rounded(m, exp + shift)
 
 
 def from_real(x: float) -> BalancedNumber:
@@ -76,43 +102,98 @@ def to_real(b: BalancedNumber) -> float:
 
 
 def neg(a: BalancedNumber) -> BalancedNumber:
-    if a.significand == 0.0:
+    sa, ea = a
+    if sa == 0.0:
         return ZERO
-    return BalancedNumber(-a.significand, a.exponent)
+    return _new(BalancedNumber, (-sa, ea))
 
 
 def mul(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
-    if a.significand == 0.0 or b.significand == 0.0:
+    sa, ea = a
+    sb, eb = b
+    m = sa * sb
+    exp = ea + eb
+    # canonical significands give 0.25 <= |m| < 1; the rest takes frexp
+    if m >= 0.5:
+        if m >= 1.0:
+            return _canonical(m, exp)
+    elif m <= -0.5:
+        if m <= -1.0:
+            return _canonical(m, exp)
+    elif m >= 0.25 or m <= -0.25:
+        m += m
+        exp -= 1
+    elif sa == 0.0 or sb == 0.0:
         return ZERO
-    return _canonical(a.significand * b.significand, a.exponent + b.exponent)
+    else:
+        return _canonical(m, exp)
+    m = (m + _ROUND) - _ROUND  # _rounded, inlined
+    if m == 1.0 or m == -1.0:
+        m *= 0.5
+        exp += 1
+    if _EXP_MIN <= exp <= _EXP_MAX:
+        return _new(BalancedNumber, (m, exp))
+    raise RangeFault("exponent %d outside 32-bit range" % exp)
 
 
 def div(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
-    if b.significand == 0.0:
+    sa, ea = a
+    sb, eb = b
+    if sb == 0.0:
         raise DomainFault("division by zero")
-    if a.significand == 0.0:
+    if sa == 0.0:
         return ZERO
-    return _canonical(a.significand / b.significand, a.exponent - b.exponent)
+    q = sa / sb
+    exp = ea - eb
+    # canonical significands give 0.5 < |q| < 2; the rest takes frexp
+    magnitude = abs(q)
+    if 1.0 <= magnitude < 2.0:
+        return _rounded(0.5 * q, exp + 1)
+    if 0.5 <= magnitude < 1.0:
+        return _rounded(q, exp)
+    return _canonical(q, exp)
 
 
 def add(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
-    if a.significand == 0.0:
+    sa, ea = a
+    sb, eb = b
+    if sa == 0.0:
         return b
-    if b.significand == 0.0:
+    if sb == 0.0:
         return a
-    diff = a.exponent - b.exponent
-    if diff > ALIGN_CUTOFF:
-        return a
-    if diff < -ALIGN_CUTOFF:
-        return b
+    diff = ea - eb
     if diff >= 0:
-        hi, lo = a, b
+        if diff > ALIGN_CUTOFF:
+            return a
+        m = sa + sb * _ALIGN[diff]
+        exp = ea
+    elif diff < -ALIGN_CUTOFF:
+        return b
     else:
-        hi, lo = b, a
-    total = hi.significand + math.ldexp(lo.significand, lo.exponent - hi.exponent)
-    if total == 0.0:
-        return ZERO
-    return _canonical(total, hi.exponent)
+        m = sb + sa * _ALIGN[-diff]
+        exp = eb
+    # like signs give 0.5 <= |m| < 2; cancellation and zero take frexp
+    if m >= 0.5:
+        if m >= 1.0:
+            if m >= 2.0:
+                return _canonical(m, exp)
+            m *= 0.5
+            exp += 1
+    elif m <= -0.5:
+        if m <= -1.0:
+            if m <= -2.0:
+                return _canonical(m, exp)
+            m *= 0.5
+            exp += 1
+    else:
+        return _canonical(m, exp)
+    m = (m + _ROUND) - _ROUND  # _rounded, inlined
+    if m == 1.0 or m == -1.0:
+        m *= 0.5
+        exp += 1
+    if _EXP_MIN <= exp <= _EXP_MAX:
+        return _new(BalancedNumber, (m, exp))
+    raise RangeFault("exponent %d outside 32-bit range" % exp)
 
 
 def sub(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:

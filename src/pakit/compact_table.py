@@ -17,6 +17,8 @@ The view is cached between lookups and dropped before every resize of
 the buffer, which a live view would block.
 """
 
+import struct
+
 import numpy as np
 
 from . import accounting, wire
@@ -28,7 +30,10 @@ _HEADER_BYTES = 48
 class CompactTable:
     """Sorted (key, datum) table over fixed-size byte blocks."""
 
-    __slots__ = ("key_size", "datum_size", "key_compare", "_pairs", "_count", "_token", "_keys")
+    __slots__ = (
+        "key_size", "datum_size", "key_compare", "_pairs", "_count", "_token", "_keys",
+        "_key_from", "_datum_from",
+    )
 
     def __init__(self, key_size: int, datum_size: int, key_compare=None):
         if key_size < 1:
@@ -41,6 +46,9 @@ class CompactTable:
         self._pairs = bytearray()
         self._count = 0
         self._keys = None  # cached key-field view of _pairs; None whenever _pairs may resize
+        # slice readers that copy once into bytes and hold no export of _pairs after the call
+        self._key_from = struct.Struct("%ds" % key_size).unpack_from
+        self._datum_from = struct.Struct("%ds" % datum_size).unpack_from
         self._token = accounting.register(_HEADER_BYTES)
 
     def _check_live(self):
@@ -54,12 +62,12 @@ class CompactTable:
         return key
 
     def _key_at(self, rank: int) -> bytes:
-        offset = rank * (self.key_size + self.datum_size)
-        return bytes(self._pairs[offset : offset + self.key_size])
+        (key,) = self._key_from(self._pairs, rank * (self.key_size + self.datum_size))
+        return key
 
     def _datum_at(self, rank: int) -> bytes:
-        offset = rank * (self.key_size + self.datum_size) + self.key_size
-        return bytes(self._pairs[offset : offset + self.datum_size])
+        (datum,) = self._datum_from(self._pairs, rank * (self.key_size + self.datum_size) + self.key_size)
+        return datum
 
     def _key_view(self):
         """The keys of _pairs as a zero-copy numpy `S<key_size>` array, cached.

@@ -1,11 +1,13 @@
+import hashlib
 import math
 import random
 import struct
+import sys
 from io import BytesIO
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pakit import balanced
 from pakit.balanced import ZERO, BalancedNumber
@@ -254,6 +256,21 @@ def test_serialization_of_extreme_exponents():
     assert abs(loaded.significand - 0.9) < 1e-7
 
 
+def test_write_of_computed_values_is_unchanged():
+    # SHA-256 taken with the frexp and float32 pack/unpack implementation
+    rng = random.Random(66)
+    stream = BytesIO()
+    acc = balanced.ONE
+    for _ in range(2000):
+        x = balanced.from_real(math.ldexp(rng.uniform(-1.0, 1.0), rng.randrange(-1074, 1024)))
+        y = balanced.from_real(rng.uniform(-1e6, 1e6))
+        for value in (x, balanced.mul(x, y), balanced.add(acc, y), balanced.div(y, x) if x != ZERO else y):
+            balanced.write(stream, value)
+        acc = balanced.add(balanced.mul(acc, y), x)
+    digest = hashlib.sha256(stream.getvalue()).hexdigest()
+    assert digest == "82afb9eee651367d98835c7c39f95b4d5275cd15670496c0a493ac4b7320cf75"
+
+
 def test_read_rejects_non_canonical():
     stream = BytesIO()
     stream.write(struct.pack(">f", 1.5))
@@ -265,3 +282,201 @@ def test_read_rejects_non_canonical():
     dirty_zero = struct.pack(">f", 0.0) + struct.pack(">i", 9)
     with pytest.raises(DecodeFault):
         balanced.read(BytesIO(dirty_zero))
+
+
+# Bit-exact oracle: the scalar code that rounded through a float32
+# pack/unpack round trip and normalized every result with frexp, kept
+# verbatim apart from the oracle_ names.  The library's operations must
+# return the same (significand, exponent) bits, or raise the same fault.
+
+_ORACLE_PACK_F32 = struct.Struct(">f")
+_ORACLE_EXP_MIN = -(1 << 31)
+_ORACLE_EXP_MAX = (1 << 31) - 1
+_ORACLE_ALIGN_CUTOFF = 25
+
+
+def oracle_round_single(x: float) -> float:
+    return _ORACLE_PACK_F32.unpack(_ORACLE_PACK_F32.pack(x))[0]
+
+
+def oracle_canonical(sig: float, exp: int) -> BalancedNumber:
+    if sig == 0.0:
+        return ZERO
+    m, shift = math.frexp(sig)
+    exp += shift
+    m = oracle_round_single(m)
+    if m == 1.0 or m == -1.0:  # rounding crossed the top of the binade
+        m *= 0.5
+        exp += 1
+    if not _ORACLE_EXP_MIN <= exp <= _ORACLE_EXP_MAX:
+        raise RangeFault("exponent %d outside 32-bit range" % exp)
+    return BalancedNumber(m, exp)
+
+
+def oracle_from_real(x: float) -> BalancedNumber:
+    if not math.isfinite(x):
+        raise DomainFault("cannot represent non-finite value %r" % (x,))
+    return oracle_canonical(x, 0)
+
+
+def oracle_mul(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
+    if a.significand == 0.0 or b.significand == 0.0:
+        return ZERO
+    return oracle_canonical(a.significand * b.significand, a.exponent + b.exponent)
+
+
+def oracle_div(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
+    if b.significand == 0.0:
+        raise DomainFault("division by zero")
+    if a.significand == 0.0:
+        return ZERO
+    return oracle_canonical(a.significand / b.significand, a.exponent - b.exponent)
+
+
+def oracle_add(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
+    if a.significand == 0.0:
+        return b
+    if b.significand == 0.0:
+        return a
+    diff = a.exponent - b.exponent
+    if diff > _ORACLE_ALIGN_CUTOFF:
+        return a
+    if diff < -_ORACLE_ALIGN_CUTOFF:
+        return b
+    if diff >= 0:
+        hi, lo = a, b
+    else:
+        hi, lo = b, a
+    total = hi.significand + math.ldexp(lo.significand, lo.exponent - hi.exponent)
+    if total == 0.0:
+        return ZERO
+    return oracle_canonical(total, hi.exponent)
+
+
+def outcome(operation, *operands):
+    """The result's exact bits (the sign of zero included), or the fault type."""
+    try:
+        result = operation(*operands)
+    except (DomainFault, RangeFault) as fault:
+        return type(fault)
+    assert type(result) is BalancedNumber
+    significand, exponent = result
+    return struct.pack(">d", significand), exponent
+
+
+_TOP = 1 << 24  # single significands in [0.5, 1) are k / _TOP for 2**23 <= k < 2**24
+single_magnitudes = st.one_of(
+    st.integers(_TOP // 2, _TOP - 1),
+    st.integers(_TOP - 4, _TOP - 1),  # next to 1 - 2**-24
+    st.integers(_TOP // 2, _TOP // 2 + 3),
+).map(lambda k: k / _TOP)
+double_magnitudes = st.one_of(  # in the band, but holding more than single precision
+    st.floats(0.5, 1.0, exclude_max=True),
+    st.integers(1, 1 << 30).map(lambda k: 1.0 - k * 2.0**-53),  # rounds to or next to the carry
+)
+exponents = st.one_of(
+    st.integers(-40, 40),
+    st.integers(_ORACLE_EXP_MAX - 2, _ORACLE_EXP_MAX),
+    st.integers(_ORACLE_EXP_MIN, _ORACLE_EXP_MIN + 2),
+    st.integers(_ORACLE_EXP_MIN, _ORACLE_EXP_MAX),
+)
+signs = st.sampled_from([1.0, -1.0])
+
+
+def numbers(magnitudes):
+    nonzero = st.builds(lambda m, s, e: BalancedNumber(s * m, e), magnitudes, signs, exponents)
+    return st.one_of(st.just(ZERO), nonzero, nonzero, nonzero)
+
+
+canonical_numbers = numbers(single_magnitudes)
+in_band_numbers = numbers(st.one_of(single_magnitudes, double_magnitudes))
+# any significand but NaN, outside the band too: every operation falls
+# back to frexp there and must still agree with the oracle
+any_numbers = st.builds(
+    BalancedNumber,
+    st.floats(allow_nan=False),
+    st.integers(_ORACLE_EXP_MIN - 2, _ORACLE_EXP_MAX + 2),
+)
+
+
+@pytest.mark.parametrize(
+    "operation, oracle",
+    [(balanced.mul, oracle_mul), (balanced.div, oracle_div), (balanced.add, oracle_add)],
+    ids=["mul", "div", "add"],
+)
+@pytest.mark.parametrize("operands", [canonical_numbers, in_band_numbers, any_numbers], ids=["canonical", "in_band", "any"])
+@settings(max_examples=400)
+@given(data=st.data())
+def test_operation_matches_oracle_bit_for_bit(operation, oracle, operands, data):
+    a, b = data.draw(operands), data.draw(operands)
+    assert outcome(operation, a, b) == outcome(oracle, a, b)
+    assert outcome(operation, b, a) == outcome(oracle, b, a)
+
+
+def test_edge_operands_match_oracle():
+    edges = [
+        ZERO,
+        BalancedNumber(-0.0, 0),
+        BalancedNumber(0.5, 0),
+        BalancedNumber(-(1.0 - 2.0**-24), 3),
+        BalancedNumber(1.0, 0),
+        BalancedNumber(5e-324, 0),
+        BalancedNumber(sys.float_info.max, 0),
+        BalancedNumber(math.inf, 0),
+        BalancedNumber(-math.inf, 0),
+        BalancedNumber(0.75, _ORACLE_EXP_MAX),
+        BalancedNumber(-0.75, _ORACLE_EXP_MIN),
+    ]
+    for operation, oracle in ((balanced.mul, oracle_mul), (balanced.div, oracle_div), (balanced.add, oracle_add)):
+        for a in edges:
+            for b in edges:
+                assert outcome(operation, a, b) == outcome(oracle, a, b), (operation.__name__, a, b)
+
+
+@settings(max_examples=400)
+@given(
+    canonical_numbers,
+    st.one_of(single_magnitudes, double_magnitudes),
+    signs,
+    st.sampled_from([-27, -26, -25, -24, 24, 25, 26, 27]),
+)
+def test_add_at_the_alignment_cutoff_matches_oracle(a, magnitude, sign, gap):
+    b = BalancedNumber(sign * magnitude, a.exponent - gap)
+    assert outcome(balanced.add, a, b) == outcome(oracle_add, a, b)
+    assert outcome(balanced.add, b, a) == outcome(oracle_add, b, a)
+
+
+@settings(max_examples=400)
+@given(canonical_numbers, st.one_of(single_magnitudes, double_magnitudes), st.integers(-1, 1))
+def test_add_cancellation_matches_oracle(a, magnitude, shift):
+    opposite = BalancedNumber(-math.copysign(magnitude, a.significand), a.exponent + shift)
+    assert outcome(balanced.add, a, opposite) == outcome(oracle_add, a, opposite)
+    assert outcome(balanced.add, a, balanced.neg(a)) == outcome(oracle_add, a, balanced.neg(a))
+
+
+@settings(max_examples=1000)
+@given(
+    st.one_of(
+        st.floats(),  # every double: subnormals, +-max, +-0.0, infinities, NaN
+        st.sampled_from(
+            [5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max, -0.0]
+        ),
+        double_magnitudes,
+        st.builds(math.ldexp, double_magnitudes, st.integers(-1074, 1024)).filter(math.isfinite),
+    )
+)
+def test_from_real_matches_oracle_bit_for_bit(x):
+    assert outcome(balanced.from_real, x) == outcome(oracle_from_real, x)
+
+
+def test_oracle_strategies_reach_the_carry_and_the_range_faults():
+    top = BalancedNumber(1.0 - 2.0**-40, 0)
+    assert balanced.mul(top, top) == oracle_mul(top, top) == BalancedNumber(0.5, 1)
+    carry = BalancedNumber(1.0 - 2.0**-24, 0), BalancedNumber(0.5, -24)
+    assert balanced.add(*carry) == oracle_add(*carry) == BalancedNumber(0.5, 1)
+    assert balanced.from_real(1.0 - 2.0**-26) == BalancedNumber(0.5, 1)
+    edge = BalancedNumber(1.0 - 2.0**-24, _ORACLE_EXP_MAX)
+    with pytest.raises(RangeFault):
+        balanced.add(edge, BalancedNumber(0.5, _ORACLE_EXP_MAX - 24))
+    with pytest.raises(RangeFault):
+        balanced.div(BalancedNumber(0.5, _ORACLE_EXP_MIN), BalancedNumber(0.75, 1))

@@ -291,6 +291,8 @@ def test_matches_dict_reference_model(key_size, datum_size, data):
             assert len(table) == len(reference)
         ordered = sorted(reference.items())
         assert list(table.items()) == ordered
+        for rank, (key, datum) in enumerate(table.items()):
+            assert {type(key), type(datum), type(table.lookup(key)), *map(type, table.nth(rank))} == {bytes}
         for rank, pair in enumerate(ordered):
             assert table.nth(rank) == pair
         for key, datum in ordered:

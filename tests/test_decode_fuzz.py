@@ -1,18 +1,23 @@
-"""Container decoders on truncated and mutated streams.
+"""Container and value decoders on truncated and mutated streams.
 
-A decoder must return a well-formed container or raise DecodeFault, and
-either way leave the accounting registry where it found it.
+A decoder must return a well-formed container or value, or raise
+DecodeFault, and either way leave the accounting registry where it
+found it.
 """
 
+import functools
+import math
 from io import BytesIO
 
 import pytest
 from hypothesis import given, strategies as st
 
-from pakit import accounting
+from pakit import accounting, balanced, fixedlog, logpr
 from pakit.compact_table import CompactTable
 from pakit.errors import DecodeFault
+from pakit.fixedlog import FixedLogCodec
 from pakit.vector import Vector
+from test_balanced import is_canonical
 
 
 def lexicographic(a, b):
@@ -72,3 +77,73 @@ def test_vector_read_of_damaged_stream(element_size, data):
         assert b"".join(loaded) == damaged[8 : 8 + count * element_size]
         loaded.destroy()
     assert accounting.totals() == before
+
+
+def read_damaged(write, read, values, data):
+    """Write `values` to one stream, damage it, and read back as many as it holds.
+
+    Returns the values read before the first DecodeFault, which must
+    come no later than the first value the damage reached and before any
+    value the stream holds only part of.
+    """
+    stream = BytesIO()
+    for value in values:
+        write(stream, value)
+    intact = stream.getvalue()
+    damaged = damage(intact, data.draw)
+    size = len(intact) // len(values)
+    undamaged = next((i for i, (x, y) in enumerate(zip(intact, damaged)) if x != y), len(damaged)) // size
+    source = BytesIO(damaged)
+    loaded = []
+    for _ in values:
+        try:
+            loaded.append(read(source))
+        except DecodeFault:
+            break
+    assert loaded[:undamaged] == values[:undamaged]
+    assert len(loaded) <= len(damaged) // size
+    return loaded
+
+
+balanced_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(balanced.from_real),
+    st.builds(
+        lambda x, exponent: balanced.BalancedNumber(balanced.from_real(x).significand, exponent),
+        st.floats(0.5, 1.0, exclude_max=True),
+        st.integers(-(1 << 31), (1 << 31) - 1),
+    ),
+)
+
+
+@given(data=st.data())
+def test_balanced_read_of_damaged_stream(data):
+    values = data.draw(st.lists(balanced_values, min_size=1, max_size=4))
+    for value in read_damaged(balanced.write, balanced.read, values, data):
+        assert type(value) is balanced.BalancedNumber
+        assert is_canonical(value)
+        assert -(1 << 31) <= value.exponent < 1 << 31
+
+
+@given(data=st.data())
+def test_logpr_read_of_damaged_stream(data):
+    neg_logs = st.one_of(st.floats(min_value=0.0), st.just(logpr.ZERO))  # one byte from a NaN
+    values = data.draw(st.lists(neg_logs, min_size=1, max_size=4))
+    for value in read_damaged(logpr.write, logpr.read, values, data):
+        assert type(value) is float
+        assert not math.isnan(value) and value >= 0.0
+
+
+@functools.cache
+def codec_of_width(width):
+    return FixedLogCodec(width)
+
+
+@pytest.mark.parametrize("width", [None, 8, 16, 32], ids=["module", "8", "16", "32"])
+@given(data=st.data())
+def test_fixedlog_read_of_damaged_stream(width, data):
+    codec = fixedlog.default_codec() if width is None else codec_of_width(width)
+    write, read = (fixedlog.write, fixedlog.read) if width is None else (codec.write, codec.read)
+    values = data.draw(st.lists(st.integers(0, codec.sentinel), min_size=1, max_size=4))
+    for code in read_damaged(write, read, values, data):
+        assert type(code) is int
+        assert 0 <= code <= codec.sentinel
