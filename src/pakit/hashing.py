@@ -6,16 +6,24 @@ power-of-two capacity.  The probe sequence for a key is
 
     slot(i) = (hash1(key) + i * step) mod capacity,   step = hash2(key) | 1
 
-and forcing the step odd guarantees it visits every slot.  Deleted slots
-become tombstones so probe chains stay intact; the table rehashes in
-place once tombstones outnumber live entries, and doubles once the
-combined load passes MAX_LOAD.
+and forcing the step odd guarantees it visits every slot.  The step is
+computed lazily (Knuth's Algorithm D, TAOCP vol. 3, 6.4): only when the
+first slot holds a tombstone or another key, so below MAX_LOAD most
+operations hash once.  Deleted slots become tombstones so probe chains
+stay intact; the table rehashes in place once tombstones outnumber live
+entries, and doubles once the combined load passes MAX_LOAD.
+
+One probe helper serves find, insert, remove and rehash.  find leaves
+its probe result behind as a hint, and an insert of the same key with
+no mutation in between reuses it, so counting with
+`insert(key, find(key, 0) + 1)` hashes the key once.
 
 Two ready-made specs cover the common cases: symbol_spec() hashes
 fixed-width unsigned integers, string_spec() hashes length-delimited
 byte strings (embedded zero bytes are fine).
 """
 
+import operator
 from typing import Callable, NamedTuple, Optional
 
 from . import accounting
@@ -61,6 +69,7 @@ class HashSpec(NamedTuple):
 
     key_size is the fixed key width in bytes, or None for
     variable-length keys; it only feeds the logical footprint estimate.
+    Keys that key_equal calls equal must hash alike under both hashes.
     """
 
     key_size: Optional[int]
@@ -69,24 +78,19 @@ class HashSpec(NamedTuple):
     key_equal: Callable[[object, object], bool]
 
 
+def salted_mix64(x: int) -> int:
+    """mix64 of the key xor a fixed salt: symbol_spec's second hash."""
+    return mix64((x & _MASK64) ^ 0x9E3779B97F4A7C15)
+
+
 def symbol_spec(key_size: int = 8) -> HashSpec:
     """Spec for fixed-width unsigned integer keys."""
-    return HashSpec(
-        key_size=key_size,
-        hash1=mix64,
-        hash2=lambda x: mix64((x & _MASK64) ^ 0x9E3779B97F4A7C15),
-        key_equal=lambda a, b: a == b,
-    )
+    return HashSpec(key_size=key_size, hash1=mix64, hash2=salted_mix64, key_equal=operator.eq)
 
 
 def string_spec() -> HashSpec:
     """Spec for length-delimited byte-string keys."""
-    return HashSpec(
-        key_size=None,
-        hash1=fnv1a_64,
-        hash2=djb2_64,
-        key_equal=lambda a, b: a == b,
-    )
+    return HashSpec(key_size=None, hash1=fnv1a_64, hash2=djb2_64, key_equal=operator.eq)
 
 
 class _Tombstone:
@@ -103,20 +107,30 @@ _ABSENT = object()
 class HashTable:
     """Open-addressing <key, datum> table driven by a HashSpec."""
 
-    __slots__ = ("spec", "_slots", "_live", "_tombstones", "_mods", "_token")
+    __slots__ = (
+        "_spec", "_hash1", "_hash2", "_key_equal", "_slots", "_live", "_tombstones", "_mods",
+        "_hint", "_token",
+    )
 
     def __init__(self, spec: HashSpec, initial_capacity: int = 8):
         if initial_capacity < 1 or initial_capacity & (initial_capacity - 1):
             raise DomainFault("capacity must be a power of two, got %d" % initial_capacity)
-        self.spec = spec
+        self._spec = spec
+        self._hash1, self._hash2, self._key_equal = spec.hash1, spec.hash2, spec.key_equal
         self._slots = [None] * initial_capacity
         self._live = 0
         self._tombstones = 0
         self._mods = 0
+        self._hint = (_ABSENT, -1, -1, -1)  # key, _mods, found, free of the last find
         self._token = accounting.register(self._footprint(initial_capacity))
 
+    @property
+    def spec(self) -> HashSpec:
+        """The spec the table was built with; read-only, as its callables are bound."""
+        return self._spec
+
     def _footprint(self, capacity: int) -> int:
-        slot_bytes = (self.spec.key_size if self.spec.key_size is not None else 16) + 8
+        slot_bytes = (self._spec.key_size if self._spec.key_size is not None else 16) + 8
         return _HEADER_BYTES + capacity * slot_bytes
 
     def _check_live(self):
@@ -134,73 +148,66 @@ class HashTable:
     def tombstone_count(self) -> int:
         return self._tombstones
 
+    def _probe(self, key):
+        """Return (slot holding key or -1, slot an insert of key would fill).
+
+        When key is absent, the free slot is the probe path's first tombstone, else the
+        empty slot that ends the path.
+        """
+        slots = self._slots
+        mask = len(slots) - 1
+        index = self._hash1(key) & mask
+        entry = slots[index]
+        if entry is None:
+            return -1, index
+        if entry is not _TOMBSTONE and self._key_equal(entry[0], key):
+            return index, index
+        free = index if entry is _TOMBSTONE else -1
+        step = self._hash2(key) | 1
+        while True:
+            index = (index + step) & mask
+            entry = slots[index]
+            if entry is None:
+                return -1, index if free < 0 else free
+            if entry is _TOMBSTONE:
+                if free < 0:
+                    free = index
+            elif self._key_equal(entry[0], key):
+                return index, free
+
     def _rehash(self, new_capacity: int) -> None:
-        old_slots = self._slots
-        self._slots = [None] * new_capacity
-        self._live = 0
+        entries = [entry for entry in self._slots if entry is not None and entry is not _TOMBSTONE]
+        self._slots = slots = [None] * new_capacity
         self._tombstones = 0
         self._mods += 1
-        for entry in old_slots:
-            if entry is None or entry is _TOMBSTONE:
-                continue
-            self._place(entry[0], entry[1])
+        for entry in entries:  # old-slot order, into a table with no tombstones
+            slots[self._probe(entry[0])[1]] = entry
         accounting.resize(self._token, self._footprint(new_capacity))
-
-    def _place(self, key, datum) -> None:
-        """Insert into a table known to contain neither key nor tombstones."""
-        mask = len(self._slots) - 1
-        index = self.spec.hash1(key) & mask
-        step = self.spec.hash2(key) | 1
-        while self._slots[index] is not None:
-            index = (index + step) & mask
-        self._slots[index] = (key, datum)
-        self._live += 1
 
     def insert(self, key, datum) -> bool:
         """Map key to datum; returns True if an existing datum was replaced."""
         self._check_live()
         if (self._live + self._tombstones + 1) > MAX_LOAD * len(self._slots):
-            if self._tombstones > self._live:
-                self._rehash(len(self._slots))
-            else:
-                self._rehash(len(self._slots) * 2)
-        mask = len(self._slots) - 1
-        index = self.spec.hash1(key) & mask
-        step = self.spec.hash2(key) | 1
-        first_tombstone = -1
-        while True:
-            entry = self._slots[index]
-            if entry is None:
-                break
-            if entry is _TOMBSTONE:
-                if first_tombstone < 0:
-                    first_tombstone = index
-            elif self.spec.key_equal(entry[0], key):
-                self._slots[index] = (key, datum)
-                self._mods += 1
-                return True
-            index = (index + step) & mask
-        if first_tombstone >= 0:
-            index = first_tombstone
-            self._tombstones -= 1
-        self._slots[index] = (key, datum)
-        self._live += 1
+            self._rehash(len(self._slots) * (1 if self._tombstones > self._live else 2))
+        hint_key, mods, found, free = self._hint
+        if mods != self._mods or (hint_key is not key and not self._key_equal(hint_key, key)):
+            found, free = self._probe(key)
         self._mods += 1
+        if found >= 0:
+            self._slots[found] = (key, datum)
+            return True
+        if self._slots[free] is _TOMBSTONE:
+            self._tombstones -= 1
+        self._slots[free] = (key, datum)
+        self._live += 1
         return False
 
     def find(self, key, default=None):
         """Return the datum mapped to key, or `default` when absent."""
         self._check_live()
-        mask = len(self._slots) - 1
-        index = self.spec.hash1(key) & mask
-        step = self.spec.hash2(key) | 1
-        while True:
-            entry = self._slots[index]
-            if entry is None:
-                return default
-            if entry is not _TOMBSTONE and self.spec.key_equal(entry[0], key):
-                return entry[1]
-            index = (index + step) & mask
+        found, free = self._probe(key)
+        self._hint = (key, self._mods, found, free)
+        return default if found < 0 else self._slots[found][1]
 
     def __contains__(self, key) -> bool:
         return self.find(key, _ABSENT) is not _ABSENT
@@ -208,17 +215,10 @@ class HashTable:
     def remove(self, key) -> bool:
         """Remove key if present (leaving a tombstone); True iff it was there."""
         self._check_live()
-        mask = len(self._slots) - 1
-        index = self.spec.hash1(key) & mask
-        step = self.spec.hash2(key) | 1
-        while True:
-            entry = self._slots[index]
-            if entry is None:
-                return False
-            if entry is not _TOMBSTONE and self.spec.key_equal(entry[0], key):
-                break
-            index = (index + step) & mask
-        self._slots[index] = _TOMBSTONE
+        found = self._probe(key)[0]
+        if found < 0:
+            return False
+        self._slots[found] = _TOMBSTONE
         self._live -= 1
         self._tombstones += 1
         self._mods += 1

@@ -24,7 +24,7 @@ def from_real(p: float) -> float:
         raise DomainFault("probability %r outside [0, 1]" % (p,))
     if p == 0.0:
         return ZERO
-    return -math.log(p)
+    return ONE - math.log(p)  # +0.0 at p = 1, where -log(p) would be -0.0
 
 
 def to_real(x: float) -> float:
@@ -77,6 +77,6 @@ def read(stream) -> float:
     if len(data) != 8:
         raise DecodeFault("truncated log-probability: got %d of 8 bytes" % len(data))
     (x,) = _PACK_F64.unpack(data)
-    if math.isnan(x) or x < 0.0:
+    if math.isnan(x) or data[0] & 0x80:  # the sign bit rules out -0.0 as well
         raise DecodeFault("invalid log-probability bit pattern %r" % (x,))
     return x

@@ -60,7 +60,7 @@ class UnigramTable:
         self._check_symbol(symbol)
         if by < 1:
             raise DomainFault("increment must be >= 1, got %d" % by)
-        new_count = int(self._counters[symbol]) + by
+        new_count = self._counters.item(symbol) + by
         if new_count > _MAX_COUNT:
             raise OverflowFault("counter for symbol %d exceeds 64 bits" % symbol)
         while new_count >> (8 * self._width):
@@ -71,7 +71,7 @@ class UnigramTable:
     def count(self, symbol: int) -> int:
         """Exact frequency of `symbol`, independent of the current width."""
         self._check_live()
-        return int(self._counters[self._check_symbol(symbol)])
+        return self._counters.item(self._check_symbol(symbol))
 
     def total(self) -> int:
         """Sum of all counters."""

@@ -16,6 +16,8 @@ from pakit import accounting, balanced, fixedlog, logpr
 from pakit.compact_table import CompactTable
 from pakit.errors import DecodeFault
 from pakit.fixedlog import FixedLogCodec
+from pakit.trie import Trie
+from pakit.unigram import UnigramTable
 from pakit.vector import Vector
 from test_balanced import is_canonical
 
@@ -75,6 +77,58 @@ def test_vector_read_of_damaged_stream(element_size, data):
         count = int.from_bytes(damaged[:8], "big")
         assert len(loaded) == count
         assert b"".join(loaded) == damaged[8 : 8 + count * element_size]
+        loaded.destroy()
+    assert accounting.totals() == before
+
+
+@pytest.mark.parametrize("symbol_width", [1, 2])
+@given(data=st.data())
+def test_trie_read_of_damaged_stream(symbol_width, data):
+    symbol = st.integers(0, (1 << (8 * symbol_width)) - 1)
+    strings = data.draw(st.lists(st.lists(symbol, max_size=4).map(tuple), unique=True, max_size=8))
+    trie = Trie(symbol_width)
+    for string in strings:
+        trie.index_of(string)
+    stream = BytesIO()
+    trie.write(stream)
+    trie.destroy()
+    before = accounting.totals()
+    damaged = damage(stream.getvalue(), data.draw)
+    try:
+        loaded = Trie.read(BytesIO(damaged), symbol_width)
+    except DecodeFault:
+        pass
+    else:
+        assert len(loaded) == int.from_bytes(damaged[:8], "big")
+        for index in range(len(loaded)):
+            assert loaded.find(loaded.string_of(index)) == index
+        loaded.destroy()
+    assert accounting.totals() == before
+
+
+@given(data=st.data())
+def test_unigram_table_read_of_damaged_stream(data):
+    counts = data.draw(st.lists(st.integers(0, 1 << 40) | st.integers(0, 3), min_size=1, max_size=10))
+    table = UnigramTable(len(counts))
+    for symbol, count in enumerate(counts):
+        if count:
+            table.increment(symbol, count)
+    stream = BytesIO()
+    table.write(stream)
+    table.destroy()
+    before = accounting.totals()
+    damaged = damage(stream.getvalue(), data.draw)
+    try:
+        loaded = UnigramTable.read(BytesIO(damaged))
+    except DecodeFault:
+        pass
+    else:
+        size, width = loaded.alphabet_size, loaded.counter_width
+        assert size == int.from_bytes(damaged[:8], "big") and damaged[8] == width
+        raw = damaged[9 : 9 + size * width]
+        loaded_counts = [int.from_bytes(raw[i : i + width], "big") for i in range(0, len(raw), width)]
+        assert [loaded.count(symbol) for symbol in range(size)] == loaded_counts
+        assert loaded.total() == sum(loaded_counts)
         loaded.destroy()
     assert accounting.totals() == before
 

@@ -1,15 +1,22 @@
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pakit import accounting
 from pakit.errors import ContractFault, DomainFault
 from pakit.hashing import (
+    _ABSENT,
+    _HEADER_BYTES,
+    _TOMBSTONE,
     FNV64_OFFSET_BASIS,
     HashSpec,
     HashTable,
     MAX_LOAD,
     fnv1a_64,
+    mix64,
+    salted_mix64,
     string_spec,
     symbol_spec,
 )
@@ -250,4 +257,276 @@ def test_spec_is_caller_extensible():
     t.insert("Key", 1)
     assert t.insert("KEY", 2) is True
     assert t.find("key") == 2
+    t.destroy()
+
+
+def test_spec_is_read_only():
+    spec = symbol_spec()
+    t = HashTable(spec)
+    assert t.spec is spec
+    with pytest.raises(AttributeError):
+        t.spec = string_spec()
+    t.destroy()
+
+
+def test_symbol_spec_hashes_keep_their_bits():
+    spec = symbol_spec()
+    for x in (0, 1, 12345, (1 << 64) - 1, 1 << 70):
+        assert spec.hash2(x) == mix64((x & ((1 << 64) - 1)) ^ 0x9E3779B97F4A7C15)
+    assert spec.hash1(1) == 0x5692161D100B05E5
+    assert spec.key_equal(3, 3) and not spec.key_equal(3, 4)
+
+
+class OracleHashTable:
+    """HashTable as it was before the shared probe helper, kept verbatim as the reference."""
+
+    __slots__ = ("spec", "_slots", "_live", "_tombstones", "_mods", "_token")
+
+    def __init__(self, spec: HashSpec, initial_capacity: int = 8):
+        if initial_capacity < 1 or initial_capacity & (initial_capacity - 1):
+            raise DomainFault("capacity must be a power of two, got %d" % initial_capacity)
+        self.spec = spec
+        self._slots = [None] * initial_capacity
+        self._live = 0
+        self._tombstones = 0
+        self._mods = 0
+        self._token = accounting.register(self._footprint(initial_capacity))
+
+    def _footprint(self, capacity: int) -> int:
+        slot_bytes = (self.spec.key_size if self.spec.key_size is not None else 16) + 8
+        return _HEADER_BYTES + capacity * slot_bytes
+
+    def _check_live(self):
+        if self._token.released:
+            raise ContractFault("operation on a destroyed HashTable")
+
+    def __len__(self) -> int:
+        return self._live
+
+    @property
+    def capacity(self) -> int:
+        return len(self._slots)
+
+    @property
+    def tombstone_count(self) -> int:
+        return self._tombstones
+
+    def _rehash(self, new_capacity: int) -> None:
+        old_slots = self._slots
+        self._slots = [None] * new_capacity
+        self._live = 0
+        self._tombstones = 0
+        self._mods += 1
+        for entry in old_slots:
+            if entry is None or entry is _TOMBSTONE:
+                continue
+            self._place(entry[0], entry[1])
+        accounting.resize(self._token, self._footprint(new_capacity))
+
+    def _place(self, key, datum) -> None:
+        """Insert into a table known to contain neither key nor tombstones."""
+        mask = len(self._slots) - 1
+        index = self.spec.hash1(key) & mask
+        step = self.spec.hash2(key) | 1
+        while self._slots[index] is not None:
+            index = (index + step) & mask
+        self._slots[index] = (key, datum)
+        self._live += 1
+
+    def insert(self, key, datum) -> bool:
+        """Map key to datum; returns True if an existing datum was replaced."""
+        self._check_live()
+        if (self._live + self._tombstones + 1) > MAX_LOAD * len(self._slots):
+            if self._tombstones > self._live:
+                self._rehash(len(self._slots))
+            else:
+                self._rehash(len(self._slots) * 2)
+        mask = len(self._slots) - 1
+        index = self.spec.hash1(key) & mask
+        step = self.spec.hash2(key) | 1
+        first_tombstone = -1
+        while True:
+            entry = self._slots[index]
+            if entry is None:
+                break
+            if entry is _TOMBSTONE:
+                if first_tombstone < 0:
+                    first_tombstone = index
+            elif self.spec.key_equal(entry[0], key):
+                self._slots[index] = (key, datum)
+                self._mods += 1
+                return True
+            index = (index + step) & mask
+        if first_tombstone >= 0:
+            index = first_tombstone
+            self._tombstones -= 1
+        self._slots[index] = (key, datum)
+        self._live += 1
+        self._mods += 1
+        return False
+
+    def find(self, key, default=None):
+        """Return the datum mapped to key, or `default` when absent."""
+        self._check_live()
+        mask = len(self._slots) - 1
+        index = self.spec.hash1(key) & mask
+        step = self.spec.hash2(key) | 1
+        while True:
+            entry = self._slots[index]
+            if entry is None:
+                return default
+            if entry is not _TOMBSTONE and self.spec.key_equal(entry[0], key):
+                return entry[1]
+            index = (index + step) & mask
+
+    def __contains__(self, key) -> bool:
+        return self.find(key, _ABSENT) is not _ABSENT
+
+    def remove(self, key) -> bool:
+        """Remove key if present (leaving a tombstone); True iff it was there."""
+        self._check_live()
+        mask = len(self._slots) - 1
+        index = self.spec.hash1(key) & mask
+        step = self.spec.hash2(key) | 1
+        while True:
+            entry = self._slots[index]
+            if entry is None:
+                return False
+            if entry is not _TOMBSTONE and self.spec.key_equal(entry[0], key):
+                break
+            index = (index + step) & mask
+        self._slots[index] = _TOMBSTONE
+        self._live -= 1
+        self._tombstones += 1
+        self._mods += 1
+        if self._tombstones > self._live:
+            self._rehash(len(self._slots))
+        return True
+
+    def destroy(self) -> None:
+        """Release the table's storage from the accounting registry."""
+        accounting.release(self._token)
+        self._slots = []
+        self._live = 0
+        self._tombstones = 0
+
+
+# a few hash1 buckets and steps, so probe chains are long and cross tombstones
+colliding_spec = HashSpec(
+    key_size=8, hash1=lambda k: k % 3, hash2=lambda k: k // 3, key_equal=operator.eq
+)
+
+ORACLE_SPECS = {
+    "symbol": (symbol_spec(), lambda i: i << 32 | 7, lambda k: int(str(k))),
+    "string": (string_spec(), lambda i: b"w%d" % i, lambda k: bytes(bytearray(k))),
+    "colliding": (colliding_spec, lambda i: i + 1000, lambda k: int(str(k))),
+}
+
+key_ids = st.integers(0, 15)
+# None in a mutation between a find and its insert stands for the found key
+between_ids = st.none() | key_ids
+atomic_ops = st.one_of(
+    st.tuples(st.just("insert"), between_ids, st.integers(0, 9)),
+    st.tuples(st.just("remove"), between_ids),
+)
+oracle_ops = st.one_of(
+    atomic_ops.filter(lambda op: op[1] is not None),
+    st.tuples(st.just("find"), key_ids),
+    st.tuples(st.just("in"), key_ids),
+    # find, then mutate in between (maybe nothing), then insert: the same key as
+    # the same object or an equal copy, or another key
+    st.tuples(st.just("find_then_insert"), key_ids, st.lists(atomic_ops, max_size=3),
+              key_ids | st.none(), st.booleans()),
+)
+
+
+def apply(table, op, key_of, copy):
+    kind = op[0]
+    if kind == "insert":
+        return table.insert(key_of(op[1]), op[2])
+    if kind == "remove":
+        return table.remove(key_of(op[1]))
+    if kind == "find":
+        return table.find(key_of(op[1]), -1)
+    if kind == "in":
+        return key_of(op[1]) in table
+    _, key_id, between, other_id, same_object = op
+    key = key_of(key_id)
+    results = [table.find(key, 0)]
+    for step in between:
+        step = step if step[1] is not None else (step[0], key_id) + step[2:]
+        results.append(apply(table, step, key_of, copy))
+    if other_id is not None:
+        results.append(table.insert(key_of(other_id), results[0] + 1))
+    else:
+        results.append(table.insert(key if same_object else copy(key), results[0] + 1))
+    return results
+
+
+@pytest.mark.parametrize("spec_name", sorted(ORACLE_SPECS))
+@settings(max_examples=300)
+@given(ops=st.lists(oracle_ops, max_size=60))
+def test_probe_rewrite_matches_previous_table(spec_name, ops):
+    spec, key_of, copy = ORACLE_SPECS[spec_name]
+    table, oracle = HashTable(spec), OracleHashTable(spec)
+    try:
+        for op in ops:
+            assert apply(table, op, key_of, copy) == apply(oracle, op, key_of, copy)
+            assert table._slots == oracle._slots
+            assert (table.capacity, table.tombstone_count, len(table)) == (
+                oracle.capacity, oracle.tombstone_count, len(oracle))
+    finally:
+        table.destroy()
+        oracle.destroy()
+
+
+def counting_symbol_spec():
+    calls = {"hash1": 0, "hash2": 0}
+
+    def hash1(key):
+        calls["hash1"] += 1
+        return mix64(key)
+
+    def hash2(key):
+        calls["hash2"] += 1
+        return salted_mix64(key)
+
+    return HashSpec(key_size=8, hash1=hash1, hash2=hash2, key_equal=operator.eq), calls
+
+
+def test_first_slot_hits_never_compute_the_step():
+    spec, calls = counting_symbol_spec()
+    capacity = 64
+    keys, buckets, candidate = [], set(), 0
+    while len(keys) + 1 <= MAX_LOAD * capacity:  # stay below the growth threshold
+        bucket = mix64(candidate) & (capacity - 1)
+        if bucket not in buckets:
+            buckets.add(bucket)
+            keys.append(candidate)
+        candidate += 1
+    t = HashTable(spec, initial_capacity=capacity)
+    for key in keys:
+        assert t.insert(key, key) is False
+    for key in keys:
+        assert t.find(key) == key
+    assert t.capacity == capacity
+    assert calls["hash2"] == 0
+    t.destroy()
+
+
+def test_find_then_insert_count_hashes_each_key_once():
+    spec, calls = counting_symbol_spec()
+    keys = [i << 32 | i for i in range(500)]
+    t = HashTable(spec)
+    for key in keys:
+        t.insert(key, 0)
+    capacity = t.capacity
+    calls["hash1"] = 0
+    rng = random.Random(93)
+    for _ in range(1000):
+        key = rng.choice(keys)
+        assert t.insert(key, t.find(key, 0) + 1) is True
+    assert calls["hash1"] == 1000
+    assert t.capacity == capacity
+    assert sum(datum for _, datum in t.items()) == 1000
     t.destroy()

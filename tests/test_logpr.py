@@ -1,9 +1,11 @@
 import math
 import random
+import struct
 from io import BytesIO
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from pakit import logpr
 from pakit.errors import DecodeFault, DomainFault
@@ -137,3 +139,23 @@ def test_read_rejects_invalid_patterns():
     logpr.write(negative, -1.0)
     with pytest.raises(DecodeFault):
         logpr.read(BytesIO(negative.getvalue()))
+
+
+def test_probability_one_writes_as_zero_bytes():
+    stream = BytesIO()
+    logpr.write(stream, logpr.from_real(1.0))
+    assert stream.getvalue() == bytes(8)
+
+
+def test_read_rejects_negative_zero():
+    with pytest.raises(DecodeFault):
+        logpr.read(BytesIO(struct.pack(">d", -0.0)))
+
+
+@given(st.floats(0.0, 1.0))
+def test_write_read_is_bit_exact(p):
+    x = logpr.from_real(p)
+    stream = BytesIO()
+    logpr.write(stream, x)
+    assert math.copysign(1.0, x) == 1.0
+    assert struct.pack(">d", logpr.read(BytesIO(stream.getvalue()))) == struct.pack(">d", x)
