@@ -13,9 +13,10 @@ Numerics
     logpr         -ln(p) as a double, the accuracy reference
     pr            one generic interface over all of them, plus conformance
 
-Every container registers its logical footprint with `accounting`;
-destroy what you create and the registry totals return to zero.  All
-serialization goes through `wire`, a big-endian self-delimiting format.
+Every container derives from `accounting.Container`, one registered block
+that destroy() releases once; later operations raise ContractFault.  Destroy
+what you create and the registry totals return to zero.  All serialization
+goes through `wire`, a big-endian self-delimiting format.
 """
 
 from . import accounting, balanced, fixedlog, hashing, logpr, pr, unigram, vector, wire

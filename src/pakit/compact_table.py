@@ -21,17 +21,16 @@ import struct
 
 import numpy as np
 
-from . import accounting, wire
-from .errors import ContractFault, DecodeFault, DomainFault, RangeFault
+from . import wire
+from .accounting import Container
+from .errors import DecodeFault, DomainFault, RangeFault
 
-_HEADER_BYTES = 48
 
-
-class CompactTable:
+class CompactTable(Container):
     """Sorted (key, datum) table over fixed-size byte blocks."""
 
     __slots__ = (
-        "key_size", "datum_size", "key_compare", "_pairs", "_count", "_token", "_keys",
+        "key_size", "datum_size", "key_compare", "_pairs", "_count", "_keys",
         "_key_from", "_datum_from",
     )
 
@@ -49,17 +48,7 @@ class CompactTable:
         # slice readers that copy once into bytes and hold no export of _pairs after the call
         self._key_from = struct.Struct("%ds" % key_size).unpack_from
         self._datum_from = struct.Struct("%ds" % datum_size).unpack_from
-        self._token = accounting.register(_HEADER_BYTES)
-
-    def _check_live(self):
-        if self._token.released:
-            raise ContractFault("operation on a destroyed CompactTable")
-
-    def _check_key(self, key) -> bytes:
-        key = bytes(key)
-        if len(key) != self.key_size:
-            raise ContractFault("key is %d bytes, expected %d" % (len(key), self.key_size))
-        return key
+        super().__init__()
 
     def _key_at(self, rank: int) -> bytes:
         (key,) = self._key_from(self._pairs, rank * (self.key_size + self.datum_size))
@@ -102,16 +91,13 @@ class CompactTable:
                 lo = mid + 1
         return False, lo
 
-    def _update_footprint(self):
-        accounting.resize(self._token, _HEADER_BYTES + len(self._pairs))
-
     def __len__(self) -> int:
         return self._count
 
     def lookup(self, key):
         """Return the datum bytes paired with `key`, or None if absent."""
         self._check_live()
-        found, rank = self._search(self._check_key(key))
+        found, rank = self._search(self._check_size(key, self.key_size, "key"))
         return self._datum_at(rank) if found else None
 
     def __contains__(self, key) -> bool:
@@ -120,12 +106,8 @@ class CompactTable:
     def insert(self, key, datum) -> bool:
         """Map key to datum; returns True if an existing datum was replaced."""
         self._check_live()
-        key = self._check_key(key)
-        datum = bytes(datum)
-        if len(datum) != self.datum_size:
-            raise ContractFault(
-                "datum is %d bytes, expected %d" % (len(datum), self.datum_size)
-            )
+        key = self._check_size(key, self.key_size, "key")
+        datum = self._check_size(datum, self.datum_size, "datum")
         found, rank = self._search(key)
         pair_size = self.key_size + self.datum_size
         offset = rank * pair_size
@@ -135,13 +117,13 @@ class CompactTable:
         self._keys = None
         self._pairs[offset:offset] = key + datum
         self._count += 1
-        self._update_footprint()
+        self._resize(len(self._pairs))
         return False
 
     def delete(self, key) -> bool:
         """Remove key if present; returns True iff it was there."""
         self._check_live()
-        found, rank = self._search(self._check_key(key))
+        found, rank = self._search(self._check_size(key, self.key_size, "key"))
         if not found:
             return False
         pair_size = self.key_size + self.datum_size
@@ -149,7 +131,7 @@ class CompactTable:
         self._keys = None
         del self._pairs[offset : offset + pair_size]
         self._count -= 1
-        self._update_footprint()
+        self._resize(len(self._pairs))
         return True
 
     def nth(self, rank: int) -> tuple[bytes, bytes]:
@@ -168,25 +150,19 @@ class CompactTable:
     def write(self, stream) -> None:
         """Write 8-byte entry count, then the raw sorted pair bytes."""
         self._check_live()
-        wire.write_uint(stream, self._count, 8)
-        stream.write(bytes(self._pairs))
+        wire.write_records(stream, self._count, self._pairs)
 
     @classmethod
     def read(cls, stream, key_size: int, datum_size: int, key_compare=None) -> "CompactTable":
         """Inverse of write; sizes and order are supplied by the caller."""
-        count = wire.read_uint(stream, 8)
-        payload = wire.read_exact(stream, count * (key_size + datum_size))
         table = cls(key_size, datum_size, key_compare)
-        table._pairs = bytearray(payload)
-        table._count = count
-        try:
+        with table._destroy_on_error():
+            table._count, payload = wire.read_records(stream, key_size + datum_size)
+            table._pairs = bytearray(payload)
             rank = table._first_unsorted_rank()  # stream must already obey the key order
             if rank is not None:
                 raise DecodeFault("stream keys not strictly sorted at rank %d" % rank)
-        except BaseException:
-            table.destroy()
-            raise
-        table._update_footprint()
+        table._resize(len(table._pairs))
         return table
 
     def _first_unsorted_rank(self):
@@ -200,9 +176,7 @@ class CompactTable:
                 return rank
         return None
 
-    def destroy(self) -> None:
-        """Release the table's storage from the accounting registry."""
-        accounting.release(self._token)
+    def _drop(self) -> None:
         self._keys = None
         self._pairs = bytearray()
         self._count = 0

@@ -26,11 +26,10 @@ byte strings (embedded zero bytes are fine).
 import operator
 from typing import Callable, NamedTuple, Optional
 
-from . import accounting
+from .accounting import Container
 from .errors import ContractFault, DomainFault
 
 MAX_LOAD = 0.7
-_HEADER_BYTES = 48
 _MASK64 = (1 << 64) - 1
 
 FNV64_OFFSET_BASIS = 0xCBF29CE484222325
@@ -102,14 +101,15 @@ class _Tombstone:
 
 _TOMBSTONE = _Tombstone()
 _ABSENT = object()
+_NO_HINT = (_ABSENT, -1, -1, -1)  # key, _mods, found, free of the last find
 
 
-class HashTable:
+class HashTable(Container):
     """Open-addressing <key, datum> table driven by a HashSpec."""
 
     __slots__ = (
         "_spec", "_hash1", "_hash2", "_key_equal", "_slots", "_live", "_tombstones", "_mods",
-        "_hint", "_token",
+        "_hint",
     )
 
     def __init__(self, spec: HashSpec, initial_capacity: int = 8):
@@ -121,21 +121,17 @@ class HashTable:
         self._live = 0
         self._tombstones = 0
         self._mods = 0
-        self._hint = (_ABSENT, -1, -1, -1)  # key, _mods, found, free of the last find
-        self._token = accounting.register(self._footprint(initial_capacity))
+        self._hint = _NO_HINT
+        super().__init__(self._slot_bytes * initial_capacity)
 
     @property
     def spec(self) -> HashSpec:
         """The spec the table was built with; read-only, as its callables are bound."""
         return self._spec
 
-    def _footprint(self, capacity: int) -> int:
-        slot_bytes = (self._spec.key_size if self._spec.key_size is not None else 16) + 8
-        return _HEADER_BYTES + capacity * slot_bytes
-
-    def _check_live(self):
-        if self._token.released:
-            raise ContractFault("operation on a destroyed HashTable")
+    @property
+    def _slot_bytes(self) -> int:
+        return (self._spec.key_size if self._spec.key_size is not None else 16) + 8
 
     def __len__(self) -> int:
         return self._live
@@ -182,7 +178,7 @@ class HashTable:
         self._mods += 1
         for entry in entries:  # old-slot order, into a table with no tombstones
             slots[self._probe(entry[0])[1]] = entry
-        accounting.resize(self._token, self._footprint(new_capacity))
+        self._resize(self._slot_bytes * new_capacity)
 
     def insert(self, key, datum) -> bool:
         """Map key to datum; returns True if an existing datum was replaced."""
@@ -236,9 +232,8 @@ class HashTable:
             if entry is not None and entry is not _TOMBSTONE:
                 yield entry
 
-    def destroy(self) -> None:
-        """Release the table's storage from the accounting registry."""
-        accounting.release(self._token)
+    def _drop(self) -> None:
         self._slots = []
         self._live = 0
         self._tombstones = 0
+        self._hint = _NO_HINT

@@ -18,22 +18,22 @@ numbering.
 import struct
 from array import array
 
-from . import accounting, wire
-from .errors import ContractFault, DecodeFault, DomainFault, RangeFault
+from . import wire
+from .accounting import Container
+from .errors import DecodeFault, DomainFault, RangeFault
 
-_HEADER_BYTES = 48
 _NODE_BYTES = 16  # parent id and assigned index; the symbol adds symbol_width
 _EDGE_BYTES = 16  # packed (parent, symbol) key and child id
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _END = object()
 
 
-class Trie:
+class Trie(Container):
     """Interns symbol sequences as consecutive unsigned integers."""
 
     __slots__ = (
         "symbol_width", "_shift", "_edges", "_parents", "_symbols", "_indices",
-        "_index_to_node", "_token",
+        "_index_to_node",
     )
 
     def __init__(self, symbol_width: int = 4):
@@ -46,16 +46,11 @@ class Trie:
         self._symbols = array("Q", [0])
         self._indices = array("q", [-1])
         self._index_to_node = array("q")
-        self._token = accounting.register(self._footprint())
+        super().__init__(self._payload())
 
-    def _check_live(self):
-        if self._token.released:
-            raise ContractFault("operation on a destroyed Trie")
-
-    def _footprint(self) -> int:
+    def _payload(self) -> int:
         return (
-            _HEADER_BYTES
-            + (_NODE_BYTES + self.symbol_width) * len(self._parents)
+            (_NODE_BYTES + self.symbol_width) * len(self._parents)
             + _EDGE_BYTES * len(self._edges)
             + 8 * len(self._index_to_node)
         )
@@ -82,7 +77,7 @@ class Trie:
         index = self._indices[node]
         if index < 0:
             index = self._assign(node)
-            accounting.resize(self._token, self._footprint())
+            self._resize(self._payload())
         return index
 
     def _assign(self, node: int) -> int:
@@ -112,7 +107,7 @@ class Trie:
                 if symbol < 0 or symbol >> shift:
                     raise self._range_fault(symbol)
         finally:
-            accounting.resize(self._token, self._footprint())
+            self._resize(self._payload())
 
     def find(self, symbols) -> int | None:
         """Return the sequence's index if already interned, else None."""
@@ -163,7 +158,7 @@ class Trie:
         """Inverse of write: re-intern every string in index order."""
         trie = cls(symbol_width)
         code = _STRUCT_CODES[symbol_width]
-        try:
+        with trie._destroy_on_error():
             count = wire.read_uint(stream, 8)
             for expected in range(count):
                 length = wire.read_uint(stream, 8)
@@ -174,15 +169,9 @@ class Trie:
                         "duplicate string in stream: index %d re-assigned as %d"
                         % (expected, assigned)
                     )
-        except BaseException:
-            trie.destroy()
-            raise
         return trie
 
-    def destroy(self) -> None:
-        """Release the trie's one accounting block and drop its storage."""
-        self._check_live()
-        accounting.release(self._token)
+    def _drop(self) -> None:
         self._edges = {}
         self._parents = array("q")
         self._symbols = array("Q")

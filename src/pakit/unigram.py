@@ -11,19 +11,19 @@ normalization.
 
 import numpy as np
 
-from . import accounting, wire
-from .errors import ContractFault, DecodeFault, DomainFault, OverflowFault, RangeFault
+from . import wire
+from .accounting import Container
+from .errors import DecodeFault, DomainFault, OverflowFault, RangeFault
 
-_HEADER_BYTES = 48
 _WIDTH_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 _WIDTHS = (1, 2, 4, 8)
 _MAX_COUNT = (1 << 64) - 1
 
 
-class UnigramTable:
+class UnigramTable(Container):
     """Per-symbol frequency counters over a fixed alphabet."""
 
-    __slots__ = ("alphabet_size", "_counters", "_width", "_total", "_token")
+    __slots__ = ("alphabet_size", "_counters", "_width", "_total")
 
     def __init__(self, alphabet_size: int):
         if alphabet_size < 1:
@@ -32,11 +32,7 @@ class UnigramTable:
         self._width = 1
         self._counters = np.zeros(alphabet_size, dtype=np.uint8)
         self._total = 0
-        self._token = accounting.register(_HEADER_BYTES + alphabet_size)
-
-    def _check_live(self):
-        if self._token.released:
-            raise ContractFault("operation on a destroyed UnigramTable")
+        super().__init__(alphabet_size)
 
     def _check_symbol(self, symbol: int) -> int:
         if not 0 <= symbol < self.alphabet_size:
@@ -48,7 +44,7 @@ class UnigramTable:
     def _widen_to(self, width: int) -> None:
         self._counters = self._counters.astype(_WIDTH_DTYPES[width])
         self._width = width
-        accounting.resize(self._token, _HEADER_BYTES + self.alphabet_size * width)
+        self._resize(self.alphabet_size * width)
 
     @property
     def counter_width(self) -> int:
@@ -99,7 +95,7 @@ class UnigramTable:
         table._counters = np.frombuffer(raw, dtype=">u%d" % width).astype(_WIDTH_DTYPES[width])
         table._width = width
         table._total = sum(table._counters.tolist())
-        accounting.resize(table._token, _HEADER_BYTES + alphabet_size * width)
+        table._resize(alphabet_size * width)
         return table
 
     def __eq__(self, other) -> bool:
@@ -111,8 +107,6 @@ class UnigramTable:
             and bool(np.array_equal(self._counters, other._counters))
         )
 
-    def destroy(self) -> None:
-        """Release the counter array from the accounting registry."""
-        accounting.release(self._token)
+    def _drop(self) -> None:
         self._counters = np.zeros(0, dtype=np.uint8)
         self._total = 0

@@ -14,41 +14,26 @@ from functools import cmp_to_key
 
 import numpy as np
 
-from . import accounting, wire
+from . import wire
+from .accounting import Container
 from .errors import ContractFault, DomainFault, RangeFault
 
-_HEADER_BYTES = 32
 
-
-class Vector:
+class Vector(Container):
     """Growable sequence of fixed-size byte elements."""
 
-    __slots__ = ("element_size", "_buf", "_token")
+    __slots__ = ("element_size", "_buf")
+
+    HEADER_BYTES = 32
 
     def __init__(self, element_size: int, elements=()):
         if element_size < 1:
             raise DomainFault("element_size must be >= 1, got %d" % element_size)
         self.element_size = element_size
         self._buf = bytearray()
-        self._token = accounting.register(_HEADER_BYTES)
+        super().__init__()
         for element in elements:
             self.append(element)
-
-    def _check_live(self):
-        if self._token.released:
-            raise ContractFault("operation on a destroyed Vector")
-
-    def _check_element(self, element) -> bytes:
-        element = bytes(element)
-        if len(element) != self.element_size:
-            raise ContractFault(
-                "element is %d bytes, vector holds %d-byte elements"
-                % (len(element), self.element_size)
-            )
-        return element
-
-    def _update_footprint(self):
-        accounting.resize(self._token, _HEADER_BYTES + len(self._buf))
 
     def __len__(self) -> int:
         return len(self._buf) // self.element_size
@@ -65,7 +50,7 @@ class Vector:
 
     def __setitem__(self, index: int, element) -> None:
         self._check_live()
-        element = self._check_element(element)
+        element = self._check_size(element, self.element_size, "element")
         n = len(self)
         if index < 0:
             index += n
@@ -85,20 +70,20 @@ class Vector:
 
     def append(self, element) -> None:
         self._check_live()
-        self._buf += self._check_element(element)
-        self._update_footprint()
+        self._buf += self._check_size(element, self.element_size, "element")
+        self._resize(len(self._buf))
 
     def insert(self, position: int, element) -> None:
         """Insert `element` so it ends up at `position`; 0 <= position <= len."""
         self._check_live()
-        element = self._check_element(element)
+        element = self._check_size(element, self.element_size, "element")
         if not 0 <= position <= len(self):
             raise RangeFault(
                 "insert position %d out of range for length %d" % (position, len(self))
             )
         offset = position * self.element_size
         self._buf[offset:offset] = element
-        self._update_footprint()
+        self._resize(len(self._buf))
 
     def concat(self, other: "Vector") -> "Vector":
         """Return a new vector holding self's elements then other's."""
@@ -111,7 +96,7 @@ class Vector:
             )
         joined = Vector(self.element_size)
         joined._buf = self._buf + other._buf
-        joined._update_footprint()
+        joined._resize(len(joined._buf))
         return joined
 
     def sort(self, compare=None) -> None:
@@ -132,20 +117,16 @@ class Vector:
     def write(self, stream) -> None:
         """Write 8-byte element count, then the raw element bytes."""
         self._check_live()
-        wire.write_uint(stream, len(self), 8)
-        stream.write(bytes(self._buf))
+        wire.write_records(stream, len(self), self._buf)
 
     @classmethod
     def read(cls, stream, element_size: int) -> "Vector":
         """Inverse of write; the element size is supplied by the caller."""
-        count = wire.read_uint(stream, 8)
-        payload = wire.read_exact(stream, count * element_size)
         v = cls(element_size)
-        v._buf = bytearray(payload)
-        v._update_footprint()
+        with v._destroy_on_error():
+            v._buf = bytearray(wire.read_records(stream, element_size)[1])
+        v._resize(len(v._buf))
         return v
 
-    def destroy(self) -> None:
-        """Release the vector's storage from the accounting registry."""
-        accounting.release(self._token)
+    def _drop(self) -> None:
         self._buf = bytearray()

@@ -2,8 +2,9 @@
 
 All multi-byte integers cross the wire big-endian at a fixed width, and
 variable-length payloads are preceded by an 8-byte length, so a decoder
-always knows exactly where each value ends.  Streams are ordinary binary
-file objects (files, BytesIO).
+always knows exactly where each value ends: a run of equal-size records
+carries its record count, and a byte block is a run of one-byte records.
+Streams are ordinary binary file objects (files, BytesIO).
 """
 
 from .errors import DecodeFault, DomainFault, RangeFault
@@ -36,15 +37,28 @@ def read_uint(stream, width: int) -> int:
     return int.from_bytes(data, "big")
 
 
+def write_records(stream, count: int, payload) -> None:
+    """Write an 8-byte big-endian record count, then the bytes-like payload without a copy."""
+    write_uint(stream, count, BLOCK_LENGTH_WIDTH)
+    stream.write(payload)
+
+
+def read_records(stream, record_size: int) -> tuple[int, bytes]:
+    """Read one run of `record_size`-byte records; inverse of write_records."""
+    if record_size < 1:
+        raise DomainFault("record_size must be >= 1, got %d" % record_size)
+    count = read_uint(stream, BLOCK_LENGTH_WIDTH)
+    return count, read_exact(stream, count * record_size)
+
+
 def write_block(stream, payload: bytes) -> None:
     """Write an 8-byte big-endian length followed by the payload bytes."""
-    write_uint(stream, len(payload), BLOCK_LENGTH_WIDTH)
-    stream.write(payload)
+    write_records(stream, len(payload), payload)
 
 
 def read_block(stream) -> bytes:
     """Read one length-prefixed block; inverse of write_block."""
-    return read_exact(stream, read_uint(stream, BLOCK_LENGTH_WIDTH))
+    return read_records(stream, 1)[1]
 
 
 def read_exact(stream, count: int) -> bytes:

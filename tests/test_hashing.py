@@ -1,14 +1,15 @@
 import operator
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pakit import accounting
+from pakit.accounting import Container
 from pakit.errors import ContractFault, DomainFault
 from pakit.hashing import (
     _ABSENT,
-    _HEADER_BYTES,
     _TOMBSTONE,
     FNV64_OFFSET_BASIS,
     HashSpec,
@@ -245,6 +246,22 @@ def test_footprint_follows_capacity():
     assert accounting.totals() == before
 
 
+class _WeakKey:
+    def __init__(self, n):
+        self.n = n
+
+
+def test_destroy_drops_the_key_of_the_last_find():
+    spec = HashSpec(key_size=8, hash1=lambda k: k.n, hash2=lambda k: k.n, key_equal=lambda a, b: a.n == b.n)
+    t = HashTable(spec)
+    key = _WeakKey(1)
+    t.find(key)
+    alive = weakref.ref(key)
+    t.destroy()
+    del key
+    assert alive() is None
+
+
 def test_spec_is_caller_extensible():
     # case-insensitive ascii keys via a custom spec
     spec = HashSpec(
@@ -275,6 +292,9 @@ def test_symbol_spec_hashes_keep_their_bits():
         assert spec.hash2(x) == mix64((x & ((1 << 64) - 1)) ^ 0x9E3779B97F4A7C15)
     assert spec.hash1(1) == 0x5692161D100B05E5
     assert spec.key_equal(3, 3) and not spec.key_equal(3, 4)
+
+
+_HEADER_BYTES = Container.HEADER_BYTES  # the header estimate HashTable inherits
 
 
 class OracleHashTable:

@@ -120,18 +120,35 @@ def test_self_delimiting_sequence():
     assert stream.read() == b""
 
 
+def test_records_are_a_count_then_the_record_bytes():
+    out = BytesIO()
+    wire.write_records(out, 2, bytearray(b"abcdef"))
+    assert out.getvalue() == bytes.fromhex("0000000000000002") + b"abcdef"
+    out.seek(0)
+    assert wire.read_records(out, 3) == (2, b"abcdef")
+    assert out.read() == b""
+
+
 _HOSTILE_LENGTH = (1 << 60).to_bytes(8, "big")
+
+
+def test_read_records_rejects_a_zero_record_size_before_reading():
+    stream = BytesIO(_HOSTILE_LENGTH)
+    with pytest.raises(DomainFault):
+        wire.read_records(stream, 0)
+    assert stream.tell() == 0
 
 
 @pytest.mark.parametrize(
     "read, header",
     [
         (wire.read_block, _HOSTILE_LENGTH),
+        (lambda s: wire.read_records(s, 4), _HOSTILE_LENGTH),
         (lambda s: CompactTable.read(s, key_size=4, datum_size=4), _HOSTILE_LENGTH),
         (lambda s: Vector.read(s, element_size=8), _HOSTILE_LENGTH),
         (UnigramTable.read, _HOSTILE_LENGTH + b"\x01"),  # alphabet size, counter width
     ],
-    ids=["block", "compact_table", "vector", "unigram"],
+    ids=["block", "records", "compact_table", "vector", "unigram"],
 )
 def test_hostile_length_faults_without_allocating(read, header):
     with tempfile.TemporaryFile() as tmp:
