@@ -142,16 +142,17 @@ class Trie(Container):
     def write(self, stream) -> None:
         """Write the string count, then each interned string in index order.
 
-        Each string is its 8-byte length followed by its symbols, each
-        `symbol_width` bytes, all big-endian.
+        Each string is one run of records (`wire.write_records`): its
+        8-byte length, then its symbols, each `symbol_width` bytes, all
+        big-endian.
         """
         self._check_live()
         code = _STRUCT_CODES[self.symbol_width]
         wire.write_uint(stream, len(self), 8)
         for index in range(len(self)):
             symbols = self.string_of(index)
-            wire.write_uint(stream, len(symbols), 8)
-            stream.write(struct.pack(">%d%s" % (len(symbols), code), *symbols))
+            packed = struct.pack(">%d%s" % (len(symbols), code), *symbols)
+            wire.write_records(stream, len(symbols), packed)
 
     @classmethod
     def read(cls, stream, symbol_width: int) -> "Trie":
@@ -161,8 +162,7 @@ class Trie(Container):
         with trie._destroy_on_error():
             count = wire.read_uint(stream, 8)
             for expected in range(count):
-                length = wire.read_uint(stream, 8)
-                raw = wire.read_exact(stream, length * symbol_width)
+                length, raw = wire.read_records(stream, symbol_width)
                 assigned = trie.index_of(struct.unpack(">%d%s" % (length, code), raw))
                 if assigned != expected:
                     raise DecodeFault(

@@ -122,9 +122,9 @@ class Vector(Container):
     @classmethod
     def read(cls, stream, element_size: int) -> "Vector":
         """Inverse of write; the element size is supplied by the caller."""
+        payload = wire.read_records(stream, element_size)[1]
         v = cls(element_size)
-        with v._destroy_on_error():
-            v._buf = bytearray(wire.read_records(stream, element_size)[1])
+        v._buf = bytearray(payload)
         v._resize(len(v._buf))
         return v
 
