@@ -92,6 +92,7 @@ class CompactTable(Container):
         return False, lo
 
     def __len__(self) -> int:
+        self._check_live()
         return self._count
 
     def lookup(self, key):

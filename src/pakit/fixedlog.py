@@ -12,7 +12,12 @@ code and d their difference,
     result = lo - round(scale * ln(1 + exp(-d / scale)))
 
 and the correction term is precomputed for every d up to the point
-where it rounds to zero, so adds stay integer-only.  The default width
+where it rounds to zero, so adds stay integer-only.  The table is one
+packed array of signed 4-byte ints rather than a list of Python ints, so
+that it stays cache-resident: at the default scale its 772,245 entries
+take 3.1 MB, where the list's 8-byte slots and int objects took about
+18 MB, and a lookup reads 4 bytes where the list read a slot and then,
+for corrections above 256, a separate int object.  The default width
 is 32 bits with scale 2**16, which reaches probabilities down to about
 10**-28462; widths 8 and 16 are available with proportionally smaller
 scales.  Width 64 is not offered: its correction table would need on
@@ -20,6 +25,7 @@ the order of 10**11 entries.
 """
 
 import math
+from array import array
 
 import numpy as np
 
@@ -33,22 +39,25 @@ DEFAULT_SCALE = _DEFAULT_SCALES[DEFAULT_WIDTH]
 SENTINEL = (1 << DEFAULT_WIDTH) - 1
 
 
-def _build_correction_table(scale: int) -> list[int]:
+def _build_correction_table(scale: int) -> array:
     """corr[d] = round(scale * ln(1 + exp(-d/scale))), up through its first zero."""
     bound = int(scale * math.log(2.0 * scale)) + 64
     d = np.arange(bound + 1, dtype=np.float64)
-    values = np.rint(scale * np.log1p(np.exp(-d / scale))).astype(np.int64)
+    values = np.rint(scale * np.log1p(np.exp(-d / scale))).astype(np.intc)
     zeros = np.flatnonzero(values == 0)
     if zeros.size == 0:
         raise AssertionError("correction table bound %d too small for scale %d" % (bound, scale))
-    return values[: int(zeros[0]) + 1].tolist()
+    return array("i", values[: int(zeros[0]) + 1].tobytes())
 
 
 class FixedLogCodec:
     """Code arithmetic for one (width, scale) configuration.
 
     mul and add are built as closures over the sentinel and correction
-    table so the hot path carries no attribute lookups.
+    table so the hot path carries no attribute lookups.  `corr` is one
+    packed `array('i')` of signed 4-byte ints (numpy's intc), kept small
+    so that it stays in cache: 3.1 MB at the default scale against about
+    18 MB as a list of Python ints.
     """
 
     def __init__(self, width: int = DEFAULT_WIDTH, scale: int | None = None):
@@ -79,18 +88,19 @@ class FixedLogCodec:
             return total if total < sentinel else sentinel
 
         def add(a: int, b: int) -> int:
-            """Table-corrected log-sum; sums past probability 1 clamp to code 0."""
-            if a == sentinel:
-                return b
-            if b == sentinel:
-                return a
-            if a < b:
-                lo, d = a, b - a
-            else:
-                lo, d = b, a - b
-            if d <= d_max:
-                lo -= corr[d]
-            return lo if lo > 0 else 0
+            """Table-corrected log-sum; sums past probability 1 clamp to code 0.
+
+            After the swap a <= b, so a sentinel operand is b: it takes no
+            correction and the sum is a.  Past the table (d > d_max) the
+            correction is 0 and a needs no clamp.
+            """
+            if a > b:
+                a, b = b, a
+            d = b - a
+            if d <= d_max and b != sentinel:
+                a -= corr[d]
+                return a if a > 0 else 0
+            return a
 
         self.mul = mul
         self.add = add

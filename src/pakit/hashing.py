@@ -134,14 +134,17 @@ class HashTable(Container):
         return (self._spec.key_size if self._spec.key_size is not None else 16) + 8
 
     def __len__(self) -> int:
+        self._check_live()
         return self._live
 
     @property
     def capacity(self) -> int:
+        self._check_live()
         return len(self._slots)
 
     @property
     def tombstone_count(self) -> int:
+        self._check_live()
         return self._tombstones
 
     def _probe(self, key):

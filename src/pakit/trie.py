@@ -59,6 +59,7 @@ class Trie(Container):
         return RangeFault("symbol %d does not fit in %d bytes" % (symbol, self.symbol_width))
 
     def __len__(self) -> int:
+        self._check_live()
         return len(self._index_to_node)
 
     def index_of(self, symbols) -> int:

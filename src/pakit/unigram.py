@@ -48,6 +48,7 @@ class UnigramTable(Container):
 
     @property
     def counter_width(self) -> int:
+        self._check_live()
         return self._width
 
     def increment(self, symbol: int, by: int = 1) -> None:
@@ -101,6 +102,8 @@ class UnigramTable(Container):
     def __eq__(self, other) -> bool:
         if not isinstance(other, UnigramTable):
             return NotImplemented
+        self._check_live()
+        other._check_live()
         return (
             self.alphabet_size == other.alphabet_size
             and self._width == other._width

@@ -36,6 +36,7 @@ class Vector(Container):
             self.append(element)
 
     def __len__(self) -> int:
+        self._check_live()
         return len(self._buf) // self.element_size
 
     def __getitem__(self, index: int) -> bytes:
@@ -60,12 +61,13 @@ class Vector(Container):
         self._buf[offset : offset + self.element_size] = element
 
     def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
+        return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vector):
             return NotImplemented
+        self._check_live()
+        other._check_live()
         return self.element_size == other.element_size and self._buf == other._buf
 
     def append(self, element) -> None:

@@ -19,27 +19,36 @@ from pakit.trie import Trie
 from pakit.unigram import UnigramTable
 from pakit.vector import Vector
 
-# name: (make a live container, one checked operation on it)
+# name: (make a live container, one checked operation on it, reads that must fault once destroyed)
 CONTAINERS = {
-    "Vector": (lambda: Vector(2, [b"ab"]), lambda c: c.append(b"cd")),
-    "CompactTable": (lambda: CompactTable(4, 1), lambda c: c.lookup(b"abcd")),
-    "Trie": (lambda: Trie(1), lambda c: c.index_of(b"ab")),
-    "UnigramTable": (lambda: UnigramTable(4), lambda c: c.increment(0)),
-    "HashTable": (lambda: HashTable(symbol_spec()), lambda c: c.find(1)),
+    "Vector": (lambda: Vector(2, [b"ab"]), lambda c: c.append(b"cd"), (len, iter, lambda c: c == c)),
+    "CompactTable": (lambda: CompactTable(4, 1), lambda c: c.lookup(b"abcd"), (len,)),
+    "Trie": (lambda: Trie(1), lambda c: c.index_of(b"ab"), (len,)),
+    "UnigramTable": (
+        lambda: UnigramTable(4), lambda c: c.increment(0), (lambda c: c.counter_width, lambda c: c == c)
+    ),
+    "HashTable": (
+        lambda: HashTable(symbol_spec()), lambda c: c.find(1), (len, lambda c: c.capacity, lambda c: c.tombstone_count)
+    ),
 }
 
 
 @pytest.mark.parametrize("name", CONTAINERS)
 def test_lifecycle(name):
-    make, use = CONTAINERS[name]
+    make, use, reads = CONTAINERS[name]
     before = accounting.totals()
     container = make()
     use(container)
+    for read in reads:
+        read(container)
     assert accounting.totals()[0] == before[0] + 1
     container.destroy()
     assert accounting.totals() == before
     with pytest.raises(ContractFault, match="destroyed %s$" % name):
         use(container)
+    for read in reads:
+        with pytest.raises(ContractFault, match="destroyed %s$" % name):
+            read(container)
     with pytest.raises(ContractFault, match="destroyed %s$" % name):
         container.destroy()
     assert accounting.totals() == before

@@ -1,14 +1,17 @@
+import functools
 import math
 import random
+from array import array
 from io import BytesIO
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pakit import fixedlog
+from pakit import fixedlog, wire
 from pakit.errors import DecodeFault, DomainFault
-from pakit.fixedlog import SENTINEL, FixedLogCodec, default_codec
+from pakit.fixedlog import _DEFAULT_SCALES, SENTINEL, FixedLogCodec, default_codec
 
 SCALE = fixedlog.DEFAULT_SCALE
 
@@ -236,3 +239,177 @@ def test_serialization_widths():
 def test_read_truncated_faults():
     with pytest.raises(DecodeFault):
         fixedlog.read(BytesIO(b"\x00\x00"))
+
+
+def test_correction_table_is_one_packed_array():
+    codec = default_codec()
+    assert isinstance(codec.corr, array)
+    assert codec.corr.itemsize == 4
+    assert len(codec.corr) == codec.d_max + 1
+
+
+def _oracle_correction_table(scale: int) -> list[int]:
+    """corr[d] = round(scale * ln(1 + exp(-d/scale))), up through its first zero."""
+    bound = int(scale * math.log(2.0 * scale)) + 64
+    d = np.arange(bound + 1, dtype=np.float64)
+    values = np.rint(scale * np.log1p(np.exp(-d / scale))).astype(np.int64)
+    zeros = np.flatnonzero(values == 0)
+    if zeros.size == 0:
+        raise AssertionError("correction table bound %d too small for scale %d" % (bound, scale))
+    return values[: int(zeros[0]) + 1].tolist()
+
+
+class OracleFixedLogCodec:
+    """FixedLogCodec as it was with a list-of-ints table, kept verbatim as the reference."""
+
+    def __init__(self, width: int = fixedlog.DEFAULT_WIDTH, scale: int | None = None):
+        if width not in _DEFAULT_SCALES:
+            raise DomainFault("width must be 8, 16, or 32 bits, got %r" % width)
+        if scale is None:
+            scale = _DEFAULT_SCALES[width]
+        if scale < 1:
+            raise DomainFault("scale must be positive, got %r" % scale)
+        self.width = width
+        self.scale = scale
+        self.sentinel = (1 << width) - 1
+        self.corr = _oracle_correction_table(scale)
+        self.d_max = len(self.corr) - 1
+
+        sentinel = self.sentinel
+        corr = self.corr
+        d_max = self.d_max
+
+        def mul(a: int, b: int) -> int:
+            total = a + b
+            return total if total < sentinel else sentinel
+
+        def add(a: int, b: int) -> int:
+            if a == sentinel:
+                return b
+            if b == sentinel:
+                return a
+            if a < b:
+                lo, d = a, b - a
+            else:
+                lo, d = b, a - b
+            if d <= d_max:
+                lo -= corr[d]
+            return lo if lo > 0 else 0
+
+        self.mul = mul
+        self.add = add
+
+    def from_real(self, p: float) -> int:
+        if not 0.0 <= p <= 1.0:
+            raise DomainFault("probability %r outside [0, 1]" % (p,))
+        if p == 0.0:
+            return self.sentinel
+        code = round(-self.scale * math.log(p))
+        return code if code < self.sentinel else self.sentinel - 1
+
+    def div(self, a: int, b: int) -> int:
+        if b == self.sentinel:
+            raise DomainFault("division by probability zero")
+        if a == self.sentinel:
+            return self.sentinel
+        diff = a - b
+        return diff if diff > 0 else 0
+
+    def cmp(self, a: int, b: int) -> int:
+        if a == b:
+            return 0
+        return 1 if a < b else -1
+
+    def write(self, stream, code: int) -> None:
+        wire.write_uint(stream, code, self.width // 8)
+
+
+WIDTHS = (8, 16, 32)
+
+
+@functools.cache
+def _codecs(width: int):
+    """(codec, oracle) for one width, built once: the 32-bit tables take a moment."""
+    return FixedLogCodec(width), OracleFixedLogCodec(width)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainFault as fault:
+        return ("DomainFault", str(fault))
+
+
+def _written(codec, code: int) -> bytes:
+    stream = BytesIO()
+    codec.write(stream, code)
+    return stream.getvalue()
+
+
+def _assert_pairs_match(codec, oracle, pairs):
+    for a, b in pairs:
+        assert codec.add(a, b) == oracle.add(a, b), (a, b)
+        assert codec.mul(a, b) == oracle.mul(a, b), (a, b)
+        assert _outcome(codec.div, a, b) == _outcome(oracle.div, a, b), (a, b)
+        assert codec.cmp(a, b) == oracle.cmp(a, b), (a, b)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_correction_table_matches_oracle(width):
+    codec, oracle = _codecs(width)
+    assert codec.corr.tolist() == oracle.corr
+    assert (codec.sentinel, codec.d_max) == (oracle.sentinel, oracle.d_max)
+
+
+def test_width_8_matches_oracle_on_every_pair():
+    codec, oracle = _codecs(8)
+    codes = range(codec.sentinel + 1)
+    _assert_pairs_match(codec, oracle, [(a, b) for a in codes for b in codes])
+    for code in codes:
+        assert _written(codec, code) == _written(oracle, code)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_forced_cases_match_oracle(width):
+    codec, oracle = _codecs(width)
+    s, d_max = codec.sentinel, codec.d_max
+    edges = [0, 1, 2, s // 2, s - d_max - 2, s - d_max - 1, s - d_max, s - 2, s - 1]
+    pairs = [(x, s) for x in edges] + [(s, x) for x in edges] + [(s, s)]  # sentinel operands
+    pairs += [(x, x) for x in edges]  # d = 0
+    for d in (d_max - 1, d_max, d_max + 1):
+        pairs += [(x, x + d) for x in edges if x + d <= s] + [(x + d, x) for x in edges if x + d <= s]
+    for d in (0, 1, 2, d_max // 2):  # lo < corr[d]: the sum clamps to code 0
+        pairs += [(lo, lo + d) for lo in (0, 1, codec.corr[d] - 1)]
+        pairs += [(lo + d, lo) for lo in (0, 1, codec.corr[d] - 1)]
+    assert any(codec.add(a, b) == 0 and 0 < min(a, b) for a, b in pairs)
+    _assert_pairs_match(codec, oracle, pairs)
+
+
+def _pairs(width: int):
+    """Code pairs at a random distance or one near the table's edge, either order."""
+    s = (1 << width) - 1
+    d_max = _codecs(width)[0].d_max
+    code = st.integers(0, s)
+    distance = st.one_of(st.integers(0, d_max + 2), st.integers(d_max - 2, s), st.integers(0, 64))
+    near = st.builds(lambda a, d: (a, min(a + d, s)), code, distance)
+    either_order = st.one_of(near, near.map(lambda pair: pair[::-1]))
+    return st.lists(st.one_of(st.tuples(code, code), either_order), min_size=1, max_size=50)
+
+
+@pytest.mark.parametrize("width", (16, 32))
+@settings(max_examples=300)
+@given(data=st.data())
+def test_wide_codecs_match_oracle(width, data):
+    codec, oracle = _codecs(width)
+    pairs = data.draw(_pairs(width))
+    _assert_pairs_match(codec, oracle, pairs)
+    for a, b in pairs:
+        assert _written(codec, a) == _written(oracle, a)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@settings(max_examples=300)
+@given(p=st.one_of(st.floats(0.0, 1.0), st.floats()))
+def test_from_real_matches_oracle(width, p):
+    codec, oracle = _codecs(width)
+    assert _outcome(codec.from_real, p) == _outcome(oracle.from_real, p)
