@@ -143,10 +143,9 @@ class CompactTable(Container):
         return self._key_at(rank), self._datum_at(rank)
 
     def items(self):
-        """Yield (key, datum) pairs in key order."""
+        """Iterator over (key, datum) pairs in key order."""
         self._check_live()
-        for rank in range(self._count):
-            yield self._key_at(rank), self._datum_at(rank)
+        return ((self._key_at(rank), self._datum_at(rank)) for rank in range(self._count))
 
     def write(self, stream) -> None:
         """Write 8-byte entry count, then the raw sorted pair bytes."""

@@ -42,12 +42,18 @@ SENTINEL = (1 << DEFAULT_WIDTH) - 1
 def _build_correction_table(scale: int) -> array:
     """corr[d] = round(scale * ln(1 + exp(-d/scale))), up through its first zero."""
     bound = int(scale * math.log(2.0 * scale)) + 64
-    d = np.arange(bound + 1, dtype=np.float64)
-    values = np.rint(scale * np.log1p(np.exp(-d / scale))).astype(np.intc)
-    zeros = np.flatnonzero(values == 0)
+    # Evaluated in place, so the build holds one float64 array at a time.
+    x = np.arange(bound + 1, dtype=np.float64)
+    np.divide(x, -scale, out=x)
+    np.exp(x, out=x)
+    np.log1p(x, out=x)
+    np.multiply(x, scale, out=x)
+    np.rint(x, out=x)
+    x = x.astype(np.intc)
+    zeros = np.flatnonzero(x == 0)
     if zeros.size == 0:
         raise AssertionError("correction table bound %d too small for scale %d" % (bound, scale))
-    return array("i", values[: int(zeros[0]) + 1].tobytes())
+    return array("i", x[: int(zeros[0]) + 1].tobytes())
 
 
 class FixedLogCodec:

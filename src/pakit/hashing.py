@@ -226,9 +226,11 @@ class HashTable(Container):
         return True
 
     def items(self):
-        """Yield each live (key, datum) once, in unspecified order."""
+        """Iterator over each live (key, datum) once, in unspecified order."""
         self._check_live()
-        mods = self._mods
+        return self._live_entries(self._mods)
+
+    def _live_entries(self, mods: int):
         for entry in self._slots:
             if mods != self._mods:
                 raise ContractFault("HashTable mutated during iteration")

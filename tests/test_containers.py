@@ -22,13 +22,15 @@ from pakit.vector import Vector
 # name: (make a live container, one checked operation on it, reads that must fault once destroyed)
 CONTAINERS = {
     "Vector": (lambda: Vector(2, [b"ab"]), lambda c: c.append(b"cd"), (len, iter, lambda c: c == c)),
-    "CompactTable": (lambda: CompactTable(4, 1), lambda c: c.lookup(b"abcd"), (len,)),
+    "CompactTable": (lambda: CompactTable(4, 1), lambda c: c.lookup(b"abcd"), (len, lambda c: c.items())),
     "Trie": (lambda: Trie(1), lambda c: c.index_of(b"ab"), (len,)),
     "UnigramTable": (
         lambda: UnigramTable(4), lambda c: c.increment(0), (lambda c: c.counter_width, lambda c: c == c)
     ),
     "HashTable": (
-        lambda: HashTable(symbol_spec()), lambda c: c.find(1), (len, lambda c: c.capacity, lambda c: c.tombstone_count)
+        lambda: HashTable(symbol_spec()),
+        lambda c: c.find(1),
+        (len, lambda c: c.capacity, lambda c: c.tombstone_count, lambda c: c.items()),
     ),
 }
 

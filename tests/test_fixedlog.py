@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import math
 import random
+import tracemalloc
 from array import array
 from io import BytesIO
 
@@ -246,6 +248,30 @@ def test_correction_table_is_one_packed_array():
     assert isinstance(codec.corr, array)
     assert codec.corr.itemsize == 4
     assert len(codec.corr) == codec.d_max + 1
+
+
+@pytest.mark.parametrize(
+    "width, digest",
+    [
+        (8, "ae17bccb3ba35a3bac7eb0faed0e5540e3283dc6882612b37a3fbdd65cc65c32"),
+        (16, "86fd59ed5bdf43cfaeac021756975dbae15ff69528d469624bb3968bb675964d"),
+        (32, "10d87fda52c3f616510d2610af675843a6c93706e0cbd740d62aa2c52894cf74"),
+    ],
+)
+def test_correction_table_bytes_are_pinned(width, digest):
+    assert hashlib.sha256(FixedLogCodec(width).corr.tobytes()).hexdigest() == digest
+
+
+def test_default_codec_build_peak_stays_below_10_mb():
+    # The default table keeps 3.1 MB; the build holds one float64 array
+    # of its 772,308 candidates (6.2 MB) at a time.
+    tracemalloc.start()
+    try:
+        FixedLogCodec()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
 
 
 def _oracle_correction_table(scale: int) -> list[int]:

@@ -159,3 +159,94 @@ def test_write_read_is_bit_exact(p):
     logpr.write(stream, x)
     assert math.copysign(1.0, x) == 1.0
     assert struct.pack(">d", logpr.read(BytesIO(stream.getvalue()))) == struct.pack(">d", x)
+
+
+# --- the previous add, mul and from_real, kept verbatim as the reference ---
+
+ZERO = logpr.ZERO
+ONE = logpr.ONE
+
+
+def oracle_from_real(p: float) -> float:
+    """Encode a probability in [0, 1]; 0 maps to the infinite neg-log."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainFault("probability %r outside [0, 1]" % (p,))
+    if p == 0.0:
+        return ZERO
+    return ONE - math.log(p)  # +0.0 at p = 1, where -log(p) would be -0.0
+
+
+def oracle_mul(a: float, b: float) -> float:
+    return a + b
+
+
+def oracle_add(a: float, b: float) -> float:
+    """Stable log-sum; sums beyond probability 1 clamp to exactly 1."""
+    if a == ZERO:
+        return b
+    if b == ZERO:
+        return a
+    lo = a if a < b else b
+    hi = b if a < b else a
+    result = lo - math.log1p(math.exp(lo - hi))
+    return result if result > 0.0 else ONE
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack(">d", x)  # tells -0.0 from 0.0
+
+
+def _assert_matches_oracle(a: float, b: float) -> None:
+    assert _bits(logpr.add(a, b)) == _bits(oracle_add(a, b)), (a, b)
+    assert _bits(logpr.mul(a, b)) == _bits(oracle_mul(a, b)), (a, b)
+
+
+SUBNORMALS = (5e-324, 1e-310, 2.225073858507201e-308)
+LN2 = math.log(2.0)  # probability 1/2: two of them sum to exactly ONE
+FORCED_OPERANDS = (
+    (ZERO, ONE, -0.0, 1e-17, 0.5, 1.0, 744.0, 745.2, 746.0, 1e300)
+    + (LN2, math.nextafter(LN2, 0.0), math.nextafter(LN2, 1.0), logpr.from_real(0.9))
+    + SUBNORMALS
+)
+
+
+def _forced_pairs():
+    pairs = [(x, y) for x in FORCED_OPERANDS for y in FORCED_OPERANDS]  # ZERO/ONE either side, equal operands
+    for lo in (0.0, *SUBNORMALS, 1e-17, 0.105, 3.0, 1e5):
+        for gap in (744.0, 745.0, 745.13321910194, 745.2, 746.0, 1e4):  # exp(-gap) underflows past 745
+            pairs += [(lo, lo + gap), (lo + gap, lo)]
+    return pairs
+
+
+def test_forced_cases_match_oracle():
+    pairs = _forced_pairs()
+    inner = [(a, b) for a, b in pairs if 0.0 < a < ZERO and 0.0 < b < ZERO]
+    assert any(oracle_add(a, b) == ONE for a, b in inner)  # sums that clamp to ONE
+    for a, b in pairs:
+        _assert_matches_oracle(a, b)
+
+
+nonnegative = st.floats(min_value=0.0)  # includes inf; NaN is no log-probability
+
+
+@given(nonnegative, nonnegative)
+def test_add_and_mul_match_oracle(a, b):
+    _assert_matches_oracle(a, b)
+
+
+@given(st.floats(0.0, 1e3), st.one_of(st.floats(0.0, 50.0), st.floats(700.0, 800.0), st.floats(0.0, 1e-12)))
+def test_close_and_wide_gaps_match_oracle(lo, gap):
+    _assert_matches_oracle(lo, lo + gap)
+    _assert_matches_oracle(lo + gap, lo)
+
+
+def _outcome(fn, p):
+    try:
+        return _bits(fn(p))
+    except DomainFault as fault:
+        return ("DomainFault", str(fault))
+
+
+@given(st.one_of(st.floats(0.0, 1.0), st.floats(allow_nan=False), st.sampled_from((0.0, -0.0, 1.0, 5e-324))))
+def test_from_real_matches_oracle(p):
+    assert _outcome(logpr.from_real, p) == _outcome(oracle_from_real, p)

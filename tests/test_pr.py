@@ -1,9 +1,13 @@
+import hashlib
 import math
 import random
+import struct
+from io import BytesIO
 
 import pytest
+from hypothesis import given, strategies as st
 
-from pakit import fixedlog, pr
+from pakit import fixedlog, logpr, pr
 from pakit.errors import DomainFault
 
 
@@ -156,3 +160,35 @@ def test_argmax_invariance_across_backends():
         assert len(winners) == 1, "backends disagree on argmax"
         checked += 1
     assert checked >= 90  # the gap filter may drop only a few vectors
+
+
+probability = st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, -0.0, 1.0, 5e-324, 2.2e-308)))
+
+
+@given(probability, probability)
+def test_double_mul_is_the_plain_product(a, b):
+    assert struct.pack(">d", pr.double_backend().mul(a, b)) == struct.pack(">d", a * b)
+
+
+def test_logpr_descriptor_uses_the_module_operations():
+    backend = pr.logpr_backend()
+    assert backend.mul is logpr.mul
+    assert backend.add is logpr.add
+
+
+def test_logpr_results_write_the_pinned_bytes():
+    # 3,004 add and 3,004 mul results, gaps past 745 and subnormals among
+    # them; the digest is that of the code before mul became operator.add.
+    backend = pr.logpr_backend()
+    rng = random.Random(4099)
+    values = [logpr.ZERO, logpr.ONE, 745.5, 5e-324]
+    for _ in range(1500):
+        values.append(backend.from_real(rng.random()))
+        values.append(rng.uniform(0.0, 800.0))
+    stream = BytesIO()
+    for a, b in zip(values, values[1:] + values[:1]):
+        logpr.write(stream, backend.add(a, b))
+        logpr.write(stream, backend.mul(a, b))
+    data = stream.getvalue()
+    assert len(data) == 2 * 3004 * 8
+    assert hashlib.sha256(data).hexdigest() == "365bd18117bb278115e28649b35ab69a01a8956bddcd4ffcaf4379ec50f8bfcd"
