@@ -4,7 +4,7 @@
 Same machinery as `pa-bench`, at a size that finishes in a few seconds.
 Checksums for double and logpr agree to many digits because both are
 near-exact on the identical operand stream; fixedlog drifts by its
-quantization and balanced follows its own unclamped addition semantics.
+quantization and balanced by its single-precision rounding.
 """
 
 from pakit import bench

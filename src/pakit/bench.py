@@ -2,13 +2,15 @@
 
 Times one fixed arithmetic workload under each probability backend and
 reports the slowdown of every backend relative to native doubles.  The
-workload is a single dependency chain: pseudo-random probability pairs
-feed alternating multiply and add operations where each result becomes
-the next operand, so no step can be skipped or reordered.  Every 64
-operations the accumulator is folded onto the real line (as -ln p) into
-a running checksum and reset, which keeps the chain inside every
-backend's comfortable range and makes runs comparable: the checksum
-depends only on (seed, op_count, backend).
+workload is a single dependency chain of steps
+`acc = add(mul(acc, w), mul(x, 1 - w))`, three operations each, where w
+and x are seeded pseudo-random probabilities and each result becomes
+the next operand, so no step can be skipped or reordered.  A convex
+combination of values in (0, 1] stays inside (0, 1] without clamping,
+so all four backends compute the same function.  Every 32 steps the
+accumulator is folded onto the real line (as -ln p) into a running
+checksum: the checksum depends only on (seed, op_count, backend), and
+the four backends' checksums agree within op_count * ln_tolerance.
 
 Operand generation and conversion happen outside the timed sections;
 only the chain itself is on the clock.  Each backend runs the identical
@@ -31,8 +33,8 @@ DEFAULT_REPS = 3
 DEFAULT_OPS = 1_000_000
 CANONICAL_ORDER = ("double", "logpr", "balanced", "fixedlog")
 
-_RESCALE_PAIRS = 32  # 64 operations between checksum folds
-_CHUNK_PAIRS = 4096  # operands generated and converted per batch
+_FOLD_STEPS = 32  # chain steps between checksum folds
+_CHUNK_STEPS = 4096  # steps generated and converted per batch
 
 
 @dataclass
@@ -62,35 +64,32 @@ def workload(backend: pr.PrBackend, op_count: int, seed: int, repetitions: int =
         raise DomainFault("op_count must be >= 1, got %d" % op_count)
     if repetitions < 1:
         raise DomainFault("repetitions must be >= 1, got %d" % repetitions)
-    pair_count = (op_count + 1) // 2
+    step_count = (op_count + 2) // 3
 
     mul = backend.mul
     add = backend.add
     neg_ln = backend.neg_ln
-    one = backend.one
     from_real = backend.from_real
     perf_counter = time.perf_counter
 
     rng = random.Random(seed)
-    # (accumulator, checksum, pairs since last fold, elapsed) per repetition
-    states = [[one, 0.0, 0, 0.0] for _ in range(repetitions)]
+    # (accumulator, checksum, steps since last fold, elapsed) per repetition
+    states = [[backend.one, 0.0, 0, 0.0] for _ in range(repetitions)]
 
-    remaining = pair_count
+    remaining = step_count
     while remaining > 0:
-        batch = min(_CHUNK_PAIRS, remaining)
+        batch = min(_CHUNK_STEPS, remaining)
         remaining -= batch
-        raw = [rng.random() * 0.99 + 0.01 for _ in range(2 * batch)]
-        operands = [from_real(x) for x in raw]
+        raw = [(rng.uniform(0.05, 0.95), rng.random() * 0.99 + 0.01) for _ in range(batch)]
+        steps = [(from_real(w), from_real(1.0 - w), from_real(x)) for w, x in raw]
         for state in states:
             accumulator, checksum, since_fold, elapsed = state
             start = perf_counter()
-            it = iter(operands)
-            for m, a in zip(it, it):
-                accumulator = add(mul(accumulator, m), a)
+            for w, rest, x in steps:
+                accumulator = add(mul(accumulator, w), mul(x, rest))
                 since_fold += 1
-                if since_fold == _RESCALE_PAIRS:
+                if since_fold == _FOLD_STEPS:
                     checksum += neg_ln(accumulator)
-                    accumulator = one
                     since_fold = 0
             elapsed += perf_counter() - start
             state[0] = accumulator

@@ -7,7 +7,7 @@ from io import BytesIO
 import pytest
 from hypothesis import given, strategies as st
 
-from pakit import fixedlog, logpr, pr
+from pakit import bench, fixedlog, logpr, pr
 from pakit.errors import DomainFault
 
 
@@ -160,6 +160,16 @@ def test_argmax_invariance_across_backends():
         assert len(winners) == 1, "backends disagree on argmax"
         checked += 1
     assert checked >= 90  # the gap filter may drop only a few vectors
+
+
+def test_bench_chain_computes_one_function_on_every_backend():
+    ops = 30_000
+    reference = pr.double_backend()
+    expected, _ = bench.workload(reference, ops, seed=1)
+    for backend in pr.backends():
+        checksum, _ = bench.workload(backend, ops, seed=1)
+        tolerance = ops * max(backend.ln_tolerance, reference.ln_tolerance)
+        assert abs(checksum - expected) <= tolerance, backend.name
 
 
 probability = st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, -0.0, 1.0, 5e-324, 2.2e-308)))

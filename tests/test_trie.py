@@ -1,10 +1,16 @@
 import hashlib
 import random
+import struct
+import tracemalloc
+from array import array
 from io import BytesIO
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from pakit import accounting
+from pakit import accounting, wire
+from pakit.accounting import Container
 from pakit.errors import ContractFault, DecodeFault, DomainFault, RangeFault
 from pakit.trie import Trie
 
@@ -181,18 +187,17 @@ def test_write_format_is_unchanged():
     t.destroy()
 
 
-def test_footprint_counts_nodes_made_before_a_range_fault():
+def test_range_fault_interns_nothing():
     blocks_before, bytes_before = accounting.totals()
     t = Trie(1)
     with pytest.raises(RangeFault):
         t.index_of([1, 2, 300])
-    # root plus the nodes for 1 and 2, two edges, no string yet
-    nodes, edges, strings = 3, 2, 0
-    footprint = 48 + nodes * (16 + 1) + 16 * edges + 8 * strings
-    assert accounting.totals() == (blocks_before + 1, bytes_before + footprint)
+    # the empty trie: header only, no string and no symbol
+    assert accounting.totals() == (blocks_before + 1, bytes_before + 48)
     assert len(t) == 0
-    assert t.index_of([1, 2]) == 0  # the prefix is already there: only an index is added
-    assert accounting.totals() == (blocks_before + 1, bytes_before + footprint + 8)
+    assert t.find([1, 2]) is None
+    assert t.index_of([1, 2]) == 0
+    assert accounting.totals() == (blocks_before + 1, bytes_before + 48 + 24 + 2 * 1)
     t.destroy()
     assert accounting.totals() == (blocks_before, bytes_before)
 
@@ -223,3 +228,257 @@ def test_read_truncated_string_faults():
     t.destroy()
     with pytest.raises(DecodeFault):
         Trie.read(BytesIO(stream.getvalue()[:-1]), symbol_width=4)
+
+
+def test_string_of_gives_plain_ints():
+    t = Trie(2)
+    assert t.index_of(np.array([1, 300], dtype=np.uint16)) == 0
+    assert t.index_of([True, False]) == 1
+    assert t.index_of((np.int64(7),)) == 2
+    for index, expected in enumerate([(1, 300), (1, 0), (7,)]):
+        string = t.string_of(index)
+        assert string == expected
+        assert [type(symbol) for symbol in string] == [int] * len(expected)
+    assert t.find(np.array([1, 300], dtype=np.uint16)) == 0
+    assert t.index_of((1, 0)) == 1
+    t.destroy()
+
+
+def test_interned_strings_stay_small_in_real_bytes():
+    # 10,500 draws give 9,698 distinct words; the node store held 4.38 MB for them
+    rng = random.Random(5)
+    letters = b"abcdefghijklmnopqrstuvwxyz"
+    words = [bytes(rng.choices(letters, k=rng.randint(2, 9))) for _ in range(10_500)]
+    tracemalloc.start()
+    try:
+        t = Trie(1)
+        for word in words:
+            t.index_of(word)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(t) == 9_698
+    t.destroy()
+    assert live < 2_500_000
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except RangeFault as error:
+        return RangeFault, str(error)
+
+
+def _written(trie) -> bytes:
+    stream = BytesIO()
+    trie.write(stream)
+    return stream.getvalue()
+
+
+def _operations(width: int):
+    top = (1 << (8 * width)) - 1
+    # mostly a small alphabet, so that prefixes and repeats are common
+    symbol = st.sampled_from([0, 1, 2, top] * 3 + [-1, top + 1])
+    string = st.lists(symbol, max_size=4).map(tuple)
+    return st.lists(
+        st.tuples(st.just("index_of"), string)
+        | st.tuples(st.just("find"), string)
+        | st.tuples(st.just("string_of"), st.integers(-2, 12)),
+        max_size=40,
+    )
+
+
+_FORCED = [
+    ("index_of", (1, 2, 0)),
+    ("find", (1, 2)),
+    ("find", (1,)),
+    ("find", ()),
+    ("index_of", ()),
+    ("index_of", (1, 2)),
+    ("index_of", (1, -1)),
+    ("find", (1, 2, 0, -1)),
+    ("find", (0, 2, -1)),
+    ("string_of", -1),
+    ("string_of", 3),
+    ("string_of", 2),
+]
+
+
+@pytest.mark.parametrize("width", [1, 2, 8])
+@given(data=st.data())
+@example(data=None)
+def test_matches_edge_store_oracle(width, data):
+    operations = _FORCED if data is None else data.draw(_operations(width))
+    trie, oracle = Trie(width), OracleTrie(width)
+    for name, argument in operations:
+        got = _outcome(lambda: getattr(trie, name)(argument))
+        expected = _outcome(lambda: getattr(oracle, name)(argument))
+        if name == "find" and expected == ("ok", None) and got[0] is RangeFault:
+            # declared: a miss checks every symbol, where the node walk stopped at
+            # the first missing edge and never saw a bad symbol past it
+            bad = next(s for s in argument if s < 0 or s >> (8 * width))
+            assert got == (RangeFault, "symbol %d does not fit in %d bytes" % (bad, width))
+        else:
+            assert got == expected
+        assert len(trie) == len(oracle)
+        assert _written(trie) == _written(oracle)
+    trie.destroy()
+    oracle.destroy()
+
+
+_NODE_BYTES = 16  # parent id and assigned index; the symbol adds symbol_width
+_EDGE_BYTES = 16  # packed (parent, symbol) key and child id
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_END = object()
+
+
+class OracleTrie(Container):
+    """Trie as it was on one flat edge store of nodes, kept verbatim as the reference."""
+
+    __slots__ = (
+        "symbol_width", "_shift", "_edges", "_parents", "_symbols", "_indices",
+        "_index_to_node",
+    )
+
+    def __init__(self, symbol_width: int = 4):
+        if symbol_width not in (1, 2, 4, 8):
+            raise DomainFault("symbol_width must be 1, 2, 4, or 8, got %r" % symbol_width)
+        self.symbol_width = symbol_width
+        self._shift = 8 * symbol_width
+        self._edges: dict[int, int] = {}
+        self._parents = array("q", [-1])
+        self._symbols = array("Q", [0])
+        self._indices = array("q", [-1])
+        self._index_to_node = array("q")
+        super().__init__(self._payload())
+
+    def _payload(self) -> int:
+        return (
+            (_NODE_BYTES + self.symbol_width) * len(self._parents)
+            + _EDGE_BYTES * len(self._edges)
+            + 8 * len(self._index_to_node)
+        )
+
+    def _range_fault(self, symbol: int) -> RangeFault:
+        return RangeFault("symbol %d does not fit in %d bytes" % (symbol, self.symbol_width))
+
+    def __len__(self) -> int:
+        self._check_live()
+        return len(self._index_to_node)
+
+    def index_of(self, symbols) -> int:
+        """Return the index of the sequence, interning it if new."""
+        self._check_live()
+        edges, shift = self._edges, self._shift
+        node = 0
+        rest = iter(symbols)
+        for symbol in rest:
+            if symbol < 0 or symbol >> shift:
+                raise self._range_fault(symbol)
+            child = edges.get(node << shift | symbol)
+            if child is None:
+                return self._grow(node, symbol, rest)
+            node = child
+        index = self._indices[node]
+        if index < 0:
+            index = self._assign(node)
+            self._resize(self._payload())
+        return index
+
+    def _assign(self, node: int) -> int:
+        index = self._indices[node] = len(self._index_to_node)
+        self._index_to_node.append(node)
+        return index
+
+    def _grow(self, node: int, symbol: int, rest) -> int:
+        """Add the path spelling `symbol` then `rest` below `node`; return its index.
+
+        Nodes made before a symbol that does not fit stay interned and
+        counted, like the prefixes of any other string.
+        """
+        edges, shift = self._edges, self._shift
+        parents, symbols, indices = self._parents, self._symbols, self._indices
+        try:
+            while True:
+                child = len(parents)
+                edges[node << shift | symbol] = child
+                parents.append(node)
+                symbols.append(symbol)
+                indices.append(-1)
+                node = child
+                symbol = next(rest, _END)
+                if symbol is _END:
+                    return self._assign(node)
+                if symbol < 0 or symbol >> shift:
+                    raise self._range_fault(symbol)
+        finally:
+            self._resize(self._payload())
+
+    def find(self, symbols) -> int | None:
+        """Return the sequence's index if already interned, else None."""
+        self._check_live()
+        edges, shift = self._edges, self._shift
+        node = 0
+        for symbol in symbols:
+            if symbol < 0 or symbol >> shift:
+                raise self._range_fault(symbol)
+            node = edges.get(node << shift | symbol)
+            if node is None:
+                return None
+        index = self._indices[node]
+        return None if index < 0 else index
+
+    def string_of(self, index: int) -> tuple[int, ...]:
+        """Return the exact sequence that was assigned `index`."""
+        self._check_live()
+        if not 0 <= index < len(self._index_to_node):
+            raise RangeFault(
+                "index %d out of range for %d strings" % (index, len(self._index_to_node))
+            )
+        parents, symbols = self._parents, self._symbols
+        spelled = []
+        node = self._index_to_node[index]
+        while node:
+            spelled.append(symbols[node])
+            node = parents[node]
+        spelled.reverse()
+        return tuple(spelled)
+
+    def write(self, stream) -> None:
+        """Write the string count, then each interned string in index order.
+
+        Each string is one run of records (`wire.write_records`): its
+        8-byte length, then its symbols, each `symbol_width` bytes, all
+        big-endian.
+        """
+        self._check_live()
+        code = _STRUCT_CODES[self.symbol_width]
+        wire.write_uint(stream, len(self), 8)
+        for index in range(len(self)):
+            symbols = self.string_of(index)
+            packed = struct.pack(">%d%s" % (len(symbols), code), *symbols)
+            wire.write_records(stream, len(symbols), packed)
+
+    @classmethod
+    def read(cls, stream, symbol_width: int) -> "OracleTrie":
+        """Inverse of write: re-intern every string in index order."""
+        trie = cls(symbol_width)
+        code = _STRUCT_CODES[symbol_width]
+        with trie._destroy_on_error():
+            count = wire.read_uint(stream, 8)
+            for expected in range(count):
+                length, raw = wire.read_records(stream, symbol_width)
+                assigned = trie.index_of(struct.unpack(">%d%s" % (length, code), raw))
+                if assigned != expected:
+                    raise DecodeFault(
+                        "duplicate string in stream: index %d re-assigned as %d"
+                        % (expected, assigned)
+                    )
+        return trie
+
+    def _drop(self) -> None:
+        self._edges = {}
+        self._parents = array("q")
+        self._symbols = array("Q")
+        self._indices = array("q")
+        self._index_to_node = array("q")
