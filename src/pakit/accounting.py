@@ -12,7 +12,6 @@ allocators and runtimes.
 
 import contextlib
 import threading
-import types
 
 from .errors import ContractFault, DomainFault
 
@@ -81,8 +80,11 @@ totals = _registry.totals
 class Container:
     """One registered block of HEADER_BYTES + payload bytes; any use after destroy() faults.
 
-    A subclass calls `super().__init__(payload)` once its storage exists,
-    reports payload changes through `_resize` and drops storage in `_drop`.
+    A subclass calls `super().__init__(payload)` once its storage exists
+    and reports payload changes through `_resize`.  `destroy()` moves the
+    instance to a destroyed twin of its class, whose every attribute
+    raises `ContractFault`, and then drops every slot, so no subclass
+    checks liveness or drops its own storage.
     """
 
     __slots__ = ("_token",)
@@ -91,16 +93,6 @@ class Container:
 
     def __init__(self, payload: int = 0):
         self._token = register(self.HEADER_BYTES + payload)
-
-    def __init_subclass__(cls):
-        # CPython caches an attribute load per code object, for one type at a time; one
-        # shared _check_live, called for three containers in turn per counted n-gram,
-        # kept missing that cache (5% slower on CPython 3.11), so each class gets a copy
-        cls._check_live = types.FunctionType(Container._check_live.__code__.replace(), globals())
-
-    def _check_live(self):
-        if self._token.released:
-            raise ContractFault("operation on a destroyed %s" % type(self).__name__)
 
     def _resize(self, payload: int) -> None:
         resize(self._token, self.HEADER_BYTES + payload)
@@ -122,6 +114,29 @@ class Container:
 
     def destroy(self) -> None:
         """Release the registered block, then drop the storage; destroy at most once."""
-        self._check_live()
-        release(self._token)
-        self._drop()
+        cls = type(self)
+        try:
+            release(self._token)
+        except ContractFault:  # another thread released it before this one saw the twin
+            raise ContractFault("operation on a destroyed %s" % cls.__name__) from None
+        self.__class__ = _destroyed.get(cls) or _destroyed.setdefault(cls, _destroyed_twin(cls))
+        for klass in cls.__mro__:
+            for name in klass.__dict__.get("__slots__", ()):
+                object.__delattr__(self, name)
+
+
+_destroyed: dict[type, type] = {}  # class -> its destroyed twin
+
+
+def _fault(self, name):
+    if name == "__class__":  # isinstance() reads it
+        return type(self)
+    raise ContractFault("operation on a destroyed %s" % type(self).__name__)
+
+
+def _destroyed_twin(cls: type) -> type:
+    """A subclass of `cls` with no storage of its own whose every attribute faults."""
+    return type(cls.__name__, (cls,), {
+        "__slots__": (), "__getattribute__": _fault,
+        "__module__": cls.__module__, "__qualname__": cls.__qualname__,
+    })

@@ -92,12 +92,10 @@ class CompactTable(Container):
         return False, lo
 
     def __len__(self) -> int:
-        self._check_live()
         return self._count
 
     def lookup(self, key):
         """Return the datum bytes paired with `key`, or None if absent."""
-        self._check_live()
         found, rank = self._search(self._check_size(key, self.key_size, "key"))
         return self._datum_at(rank) if found else None
 
@@ -106,7 +104,6 @@ class CompactTable(Container):
 
     def insert(self, key, datum) -> bool:
         """Map key to datum; returns True if an existing datum was replaced."""
-        self._check_live()
         key = self._check_size(key, self.key_size, "key")
         datum = self._check_size(datum, self.datum_size, "datum")
         found, rank = self._search(key)
@@ -123,7 +120,6 @@ class CompactTable(Container):
 
     def delete(self, key) -> bool:
         """Remove key if present; returns True iff it was there."""
-        self._check_live()
         found, rank = self._search(self._check_size(key, self.key_size, "key"))
         if not found:
             return False
@@ -137,19 +133,16 @@ class CompactTable(Container):
 
     def nth(self, rank: int) -> tuple[bytes, bytes]:
         """Return the rank-th smallest (key, datum); 0 <= rank < len."""
-        self._check_live()
         if not 0 <= rank < self._count:
             raise RangeFault("rank %d out of range for %d entries" % (rank, self._count))
         return self._key_at(rank), self._datum_at(rank)
 
     def items(self):
         """Iterator over (key, datum) pairs in key order."""
-        self._check_live()
         return ((self._key_at(rank), self._datum_at(rank)) for rank in range(self._count))
 
     def write(self, stream) -> None:
         """Write 8-byte entry count, then the raw sorted pair bytes."""
-        self._check_live()
         wire.write_records(stream, self._count, self._pairs)
 
     @classmethod
@@ -175,8 +168,3 @@ class CompactTable(Container):
             if self.key_compare(self._key_at(rank - 1), self._key_at(rank)) >= 0:
                 return rank
         return None
-
-    def _drop(self) -> None:
-        self._keys = None
-        self._pairs = bytearray()
-        self._count = 0

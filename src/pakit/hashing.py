@@ -134,17 +134,14 @@ class HashTable(Container):
         return (self._spec.key_size if self._spec.key_size is not None else 16) + 8
 
     def __len__(self) -> int:
-        self._check_live()
         return self._live
 
     @property
     def capacity(self) -> int:
-        self._check_live()
         return len(self._slots)
 
     @property
     def tombstone_count(self) -> int:
-        self._check_live()
         return self._tombstones
 
     def _probe(self, key):
@@ -185,7 +182,6 @@ class HashTable(Container):
 
     def insert(self, key, datum) -> bool:
         """Map key to datum; returns True if an existing datum was replaced."""
-        self._check_live()
         if (self._live + self._tombstones + 1) > MAX_LOAD * len(self._slots):
             self._rehash(len(self._slots) * (1 if self._tombstones > self._live else 2))
         hint_key, mods, found, free = self._hint
@@ -203,7 +199,6 @@ class HashTable(Container):
 
     def find(self, key, default=None):
         """Return the datum mapped to key, or `default` when absent."""
-        self._check_live()
         found, free = self._probe(key)
         self._hint = (key, self._mods, found, free)
         return default if found < 0 else self._slots[found][1]
@@ -213,7 +208,6 @@ class HashTable(Container):
 
     def remove(self, key) -> bool:
         """Remove key if present (leaving a tombstone); True iff it was there."""
-        self._check_live()
         found = self._probe(key)[0]
         if found < 0:
             return False
@@ -227,7 +221,6 @@ class HashTable(Container):
 
     def items(self):
         """Iterator over each live (key, datum) once, in unspecified order."""
-        self._check_live()
         return self._live_entries(self._mods)
 
     def _live_entries(self, mods: int):
@@ -236,9 +229,3 @@ class HashTable(Container):
                 raise ContractFault("HashTable mutated during iteration")
             if entry is not None and entry is not _TOMBSTONE:
                 yield entry
-
-    def _drop(self) -> None:
-        self._slots = []
-        self._live = 0
-        self._tombstones = 0
-        self._hint = _NO_HINT

@@ -51,12 +51,10 @@ class Trie(Container):
         return tuple(map(int, string))
 
     def __len__(self) -> int:
-        self._check_live()
         return len(self._strings)
 
     def index_of(self, symbols) -> int:
         """Return the index of the sequence, interning it if new."""
-        self._check_live()
         string = tuple(symbols)
         index = self._index.get(string)
         if index is None:
@@ -69,7 +67,6 @@ class Trie(Container):
 
     def find(self, symbols) -> int | None:
         """Return the sequence's index if already interned, else None."""
-        self._check_live()
         string = tuple(symbols)
         index = self._index.get(string)
         if index is None:
@@ -78,7 +75,6 @@ class Trie(Container):
 
     def string_of(self, index: int) -> tuple[int, ...]:
         """Return the exact sequence that was assigned `index`."""
-        self._check_live()
         if not 0 <= index < len(self._strings):
             raise RangeFault("index %d out of range for %d strings" % (index, len(self._strings)))
         return self._strings[index]
@@ -90,7 +86,6 @@ class Trie(Container):
         8-byte length, then its symbols, each `symbol_width` bytes, all
         big-endian.
         """
-        self._check_live()
         code = _STRUCT_CODES[self.symbol_width]
         wire.write_uint(stream, len(self._strings), 8)
         for string in self._strings:
@@ -118,7 +113,3 @@ class Trie(Container):
             trie._symbol_count = sum(map(len, strings))
             trie._resize(trie._payload())
         return trie
-
-    def _drop(self) -> None:
-        self._index = {}
-        self._strings = []

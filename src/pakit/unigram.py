@@ -48,12 +48,10 @@ class UnigramTable(Container):
 
     @property
     def counter_width(self) -> int:
-        self._check_live()
         return self._width
 
     def increment(self, symbol: int, by: int = 1) -> None:
         """Add `by` to the symbol's counter, widening the array if needed."""
-        self._check_live()
         self._check_symbol(symbol)
         if by < 1:
             raise DomainFault("increment must be >= 1, got %d" % by)
@@ -67,17 +65,14 @@ class UnigramTable(Container):
 
     def count(self, symbol: int) -> int:
         """Exact frequency of `symbol`, independent of the current width."""
-        self._check_live()
         return self._counters.item(self._check_symbol(symbol))
 
     def total(self) -> int:
         """Sum of all counters."""
-        self._check_live()
         return self._total
 
     def write(self, stream) -> None:
         """Format: alphabet_size (8 bytes), counter width (1), big-endian counters."""
-        self._check_live()
         wire.write_uint(stream, self.alphabet_size, 8)
         wire.write_uint(stream, self._width, 1)
         stream.write(self._counters.astype(">u%d" % self._width).tobytes())
@@ -102,14 +97,8 @@ class UnigramTable(Container):
     def __eq__(self, other) -> bool:
         if not isinstance(other, UnigramTable):
             return NotImplemented
-        self._check_live()
-        other._check_live()
         return (
             self.alphabet_size == other.alphabet_size
             and self._width == other._width
             and bool(np.array_equal(self._counters, other._counters))
         )
-
-    def _drop(self) -> None:
-        self._counters = np.zeros(0, dtype=np.uint8)
-        self._total = 0

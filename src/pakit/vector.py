@@ -36,11 +36,9 @@ class Vector(Container):
             self.append(element)
 
     def __len__(self) -> int:
-        self._check_live()
         return len(self._buf) // self.element_size
 
     def __getitem__(self, index: int) -> bytes:
-        self._check_live()
         n = len(self)
         if index < 0:
             index += n
@@ -50,7 +48,6 @@ class Vector(Container):
         return bytes(self._buf[offset : offset + self.element_size])
 
     def __setitem__(self, index: int, element) -> None:
-        self._check_live()
         element = self._check_size(element, self.element_size, "element")
         n = len(self)
         if index < 0:
@@ -66,18 +63,14 @@ class Vector(Container):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vector):
             return NotImplemented
-        self._check_live()
-        other._check_live()
         return self.element_size == other.element_size and self._buf == other._buf
 
     def append(self, element) -> None:
-        self._check_live()
         self._buf += self._check_size(element, self.element_size, "element")
         self._resize(len(self._buf))
 
     def insert(self, position: int, element) -> None:
         """Insert `element` so it ends up at `position`; 0 <= position <= len."""
-        self._check_live()
         element = self._check_size(element, self.element_size, "element")
         if not 0 <= position <= len(self):
             raise RangeFault(
@@ -89,8 +82,6 @@ class Vector(Container):
 
     def concat(self, other: "Vector") -> "Vector":
         """Return a new vector holding self's elements then other's."""
-        self._check_live()
-        other._check_live()
         if self.element_size != other.element_size:
             raise ContractFault(
                 "cannot concat vectors with element sizes %d and %d"
@@ -106,7 +97,6 @@ class Vector(Container):
 
         Defaults to lexicographic byte order.  Not guaranteed stable.
         """
-        self._check_live()
         if compare is None:
             # numpy orders `S` values with trailing NULs stripped: for one
             # fixed width that is lexicographic byte order
@@ -118,7 +108,6 @@ class Vector(Container):
 
     def write(self, stream) -> None:
         """Write 8-byte element count, then the raw element bytes."""
-        self._check_live()
         wire.write_records(stream, len(self), self._buf)
 
     @classmethod
@@ -129,6 +118,3 @@ class Vector(Container):
         v._buf = bytearray(payload)
         v._resize(len(v._buf))
         return v
-
-    def _drop(self) -> None:
-        self._buf = bytearray()

@@ -9,6 +9,8 @@ these numbers.
 
 import hashlib
 import random
+import sys
+import threading
 from io import BytesIO
 
 import pytest
@@ -23,18 +25,25 @@ from pakit.vector import Vector
 
 # name: (make a live container, one checked operation on it, reads that must fault once destroyed)
 CONTAINERS = {
-    "Vector": (lambda: Vector(2, [b"ab"]), lambda c: c.append(b"cd"), (len, iter, lambda c: c == c)),
-    "CompactTable": (lambda: CompactTable(4, 1), lambda c: c.lookup(b"abcd"), (len, lambda c: c.items())),
-    "Trie": (lambda: Trie(1), lambda c: c.index_of(b"ab"), (len,)),
+    "Vector": (
+        lambda: Vector(2, [b"ab"]), lambda c: c.append(b"cd"), (len, iter, lambda c: c == c, lambda c: c.element_size)
+    ),
+    "CompactTable": (
+        lambda: CompactTable(4, 1), lambda c: c.lookup(b"abcd"), (len, lambda c: c.items(), lambda c: c.key_size)
+    ),
+    "Trie": (lambda: Trie(1), lambda c: c.index_of(b"ab"), (len, lambda c: c.symbol_width)),
     "UnigramTable": (
-        lambda: UnigramTable(4), lambda c: c.increment(0), (lambda c: c.counter_width, lambda c: c == c)
+        lambda: UnigramTable(4),
+        lambda c: c.increment(0),
+        (lambda c: c.counter_width, lambda c: c == c, lambda c: c.alphabet_size),
     ),
     "HashTable": (
         lambda: HashTable(symbol_spec()),
         lambda c: c.find(1),
-        (len, lambda c: c.capacity, lambda c: c.tombstone_count, lambda c: c.items()),
+        (len, lambda c: c.capacity, lambda c: c.tombstone_count, lambda c: c.items(), lambda c: c.spec),
     ),
 }
+CLASSES = {cls.__name__: cls for cls in (Vector, CompactTable, Trie, UnigramTable, HashTable)}
 
 
 @pytest.mark.parametrize("name", CONTAINERS)
@@ -56,6 +65,72 @@ def test_lifecycle(name):
     with pytest.raises(ContractFault, match="destroyed %s$" % name):
         container.destroy()
     assert accounting.totals() == before
+
+
+@pytest.mark.parametrize("name", CONTAINERS)
+def test_destroyed_container_keeps_its_class(name):
+    container = CONTAINERS[name][0]()
+    container.destroy()
+    cls = CLASSES[name]
+    assert [other for other in CLASSES.values() if isinstance(container, other)] == [cls]
+    assert repr(container).startswith("<%s.%s object at " % (cls.__module__, name))
+
+
+def _filled(container, pairs):
+    for key, datum in pairs:
+        container.insert(key, datum)
+    return container
+
+
+# name: (make a live container of two entries, start iterating over it)
+ITERATED = {
+    "Vector": (lambda: Vector(1, [b"a", b"b"]), iter),
+    "CompactTable": (lambda: _filled(CompactTable(1, 0), [(b"a", b""), (b"b", b"")]), lambda c: c.items()),
+    "HashTable": (lambda: _filled(HashTable(symbol_spec()), [(1, 1), (2, 2)]), lambda c: c.items()),
+}
+
+
+@pytest.mark.parametrize("name", ITERATED)
+def test_destroy_mid_iteration_faults_at_the_next_step(name):
+    make, iterate = ITERATED[name]
+    container = make()
+    entries = iterate(container)
+    next(entries)
+    container.destroy()
+    with pytest.raises(ContractFault, match="destroyed %s$" % name):
+        next(entries)
+
+
+@pytest.mark.parametrize("name", CONTAINERS)
+def test_racing_destroys_of_one_container_succeed_once(name):
+    threads = 8
+    before = accounting.totals()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            container = CONTAINERS[name][0]()
+            barrier = threading.Barrier(threads)
+            outcomes = []
+
+            def destroy():
+                barrier.wait(timeout=10)
+                try:
+                    container.destroy()
+                    outcomes.append("destroyed")
+                except ContractFault as fault:
+                    outcomes.append(str(fault))
+
+            workers = [threading.Thread(target=destroy) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=10)
+                assert not worker.is_alive()
+            assert sorted(outcomes) == ["destroyed"] + ["operation on a destroyed %s" % name] * (threads - 1)
+            assert accounting.totals() == before
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _grown(before) -> int:

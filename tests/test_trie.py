@@ -359,6 +359,10 @@ class OracleTrie(Container):
             + 8 * len(self._index_to_node)
         )
 
+    def _check_live(self):
+        if self._token.released:
+            raise ContractFault("operation on a destroyed %s" % type(self).__name__)
+
     def _range_fault(self, symbol: int) -> RangeFault:
         return RangeFault("symbol %d does not fit in %d bytes" % (symbol, self.symbol_width))
 
