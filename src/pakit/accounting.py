@@ -134,9 +134,13 @@ def _fault(self, name):
     raise ContractFault("operation on a destroyed %s" % type(self).__name__)
 
 
+def _refuse(self, *args):
+    raise ContractFault("operation on a destroyed %s" % type(self).__name__)
+
+
 def _destroyed_twin(cls: type) -> type:
-    """A subclass of `cls` with no storage of its own whose every attribute faults."""
+    """A subclass of `cls` with no storage of its own whose every attribute, `==` and hash() fault."""
     return type(cls.__name__, (cls,), {
-        "__slots__": (), "__getattribute__": _fault,
+        "__slots__": (), "__getattribute__": _fault, "__eq__": _refuse, "__hash__": _refuse,
         "__module__": cls.__module__, "__qualname__": cls.__qualname__,
     })

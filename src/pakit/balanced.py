@@ -154,46 +154,55 @@ def div(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
     return _canonical(q, exp)
 
 
-def add(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
-    sa, ea = a
-    sb, eb = b
-    if sa == 0.0:
-        return b
-    if sb == 0.0:
-        return a
-    diff = ea - eb
-    if diff >= 0:
-        if diff > ALIGN_CUTOFF:
+def _adder(ceiling: int, above):
+    """The one add body: a result exponent past `ceiling` gives `above`, or RangeFault when it is None."""
+    def add(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
+        sa, ea = a
+        sb, eb = b
+        if sa == 0.0:
+            return b
+        if sb == 0.0:
             return a
-        m = sa + sb * _ALIGN[diff]
-        exp = ea
-    elif diff < -ALIGN_CUTOFF:
-        return b
-    else:
-        m = sb + sa * _ALIGN[-diff]
-        exp = eb
-    # like signs give 0.5 <= |m| < 2; cancellation and zero take frexp
-    if m >= 0.5:
-        if m >= 1.0:
-            if m >= 2.0:
-                return _canonical(m, exp)
+        diff = ea - eb
+        if diff >= 0:
+            if diff > ALIGN_CUTOFF:
+                return a
+            m = sa + sb * _ALIGN[diff]
+            exp = ea
+        elif diff < -ALIGN_CUTOFF:
+            return b
+        else:
+            m = sb + sa * _ALIGN[-diff]
+            exp = eb
+        # like signs give 0.5 <= |m| < 2; cancellation and zero take frexp
+        if m >= 0.5:
+            if m >= 1.0:
+                if m >= 2.0:
+                    return _canonical(m, exp)
+                m *= 0.5
+                exp += 1
+        elif m <= -0.5:
+            if m <= -1.0:
+                if m <= -2.0:
+                    return _canonical(m, exp)
+                m *= 0.5
+                exp += 1
+        else:
+            return _canonical(m, exp)
+        m = (m + _ROUND) - _ROUND  # _rounded, inlined
+        if m == 1.0 or m == -1.0:
             m *= 0.5
             exp += 1
-    elif m <= -0.5:
-        if m <= -1.0:
-            if m <= -2.0:
-                return _canonical(m, exp)
-            m *= 0.5
-            exp += 1
-    else:
-        return _canonical(m, exp)
-    m = (m + _ROUND) - _ROUND  # _rounded, inlined
-    if m == 1.0 or m == -1.0:
-        m *= 0.5
-        exp += 1
-    if _EXP_MIN <= exp <= _EXP_MAX:
-        return _new(BalancedNumber, (m, exp))
-    raise RangeFault("exponent %d outside 32-bit range" % exp)
+        if _EXP_MIN <= exp <= ceiling:
+            return _new(BalancedNumber, (m, exp))
+        if exp > ceiling and above is not None:
+            return above
+        raise RangeFault("exponent %d outside 32-bit range" % exp)
+    return add
+
+
+add = _adder(_EXP_MAX, None)
+_probability_add = _adder(0, ONE)  # pr's view: a canonical value >= 0 is >= 1 iff its exponent is >= 1
 
 
 def sub(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:

@@ -42,7 +42,6 @@ class BenchConfig:
     op_count: int = DEFAULT_OPS
     seed: int = 1
     backends: tuple = CANONICAL_ORDER
-    output_format: str = "text"
 
 
 @dataclass
@@ -172,18 +171,16 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=("text", "csv"), default="text")
     args = parser.parse_args(argv)
 
-    config = BenchConfig(
-        op_count=args.ops,
-        seed=args.seed,
-        backends=tuple(name.strip() for name in args.backends.split(",") if name.strip()),
-        output_format=args.format,
-    )
     try:
-        results = run(config)
+        results = run(BenchConfig(
+            op_count=args.ops,
+            seed=args.seed,
+            backends=tuple(name.strip() for name in args.backends.split(",") if name.strip()),
+        ))
     except Fault as error:
         print("pa-bench: %s" % error, file=sys.stderr)
         return 2
-    if config.output_format == "csv":
+    if args.format == "csv":
         print(format_csv(results))
     else:
         print(format_text(results))

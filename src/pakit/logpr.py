@@ -7,8 +7,8 @@ tiny probabilities never underflow; `mul` is the builtin
 through the stable log-sum-exp form and is the expensive operation:
 `add` orders its operands once, so the larger neg-log (the smaller
 probability) is the only one that can be zero and the only one tested.
-This is the accuracy reference the other probability representations
-are measured against.
+Sums and quotients above 1 clamp to exactly ONE.  This is the accuracy
+reference the other probability representations are measured against.
 """
 
 import math
@@ -42,15 +42,11 @@ mul = operator.add  # the product of probabilities is the sum of their neg-logs
 
 
 def div(a: float, b: float) -> float:
-    """Quotient; the divisor must be nonzero and the result at most 1."""
+    """Quotient; the divisor must be nonzero, and quotients above 1 clamp to exactly 1."""
     if b == ZERO:
         raise DomainFault("division by probability zero")
-    if a == ZERO:
-        return ZERO
     result = a - b
-    if result < 0.0:
-        raise DomainFault("quotient exceeds probability 1")
-    return result
+    return result if result > 0.0 else ONE
 
 
 def add(a: float, b: float) -> float:

@@ -7,12 +7,12 @@ the extended-exponent type, or the fixed-point log type by swapping a
 descriptor.  Backend values are opaque: floats for double and logpr,
 integer codes for fixedlog, significand/exponent pairs for balanced.
 
-Each backend keeps the semantics of its underlying module (for example,
-sums clamp at probability 1 everywhere except the balanced backend,
-whose addition is ordinary extended-range addition).  neg_ln maps any
-backend value onto the real line as -ln(p) without leaving the
-representation's range, which is what lets conformance and benchmark
-results be compared across backends.
+Every descriptor follows one rule.  Values are probabilities: `from_real`
+raises DomainFault for any input outside [0, 1], NaN included; `add` and
+`div` return `one` wherever the result would be above one; `div` by `zero`
+raises DomainFault.  neg_ln maps any backend value onto the real line as
+-ln(p) without leaving the representation's range, which is what lets
+conformance and benchmark results be compared across backends.
 """
 
 import math
@@ -26,6 +26,8 @@ from .errors import DomainFault
 
 
 class PrBackend(NamedTuple):
+    """One representation's constants and operations, under the module's probability rule."""
+
     name: str
     zero: object
     one: object
@@ -53,8 +55,6 @@ def _double_add(a, b):
 def _double_div(a, b):
     if b == 0.0:
         raise DomainFault("division by probability zero")
-    if a > b:
-        raise DomainFault("quotient exceeds probability 1")
     quotient = a / b
     return quotient if quotient < 1.0 else 1.0
 
@@ -107,6 +107,19 @@ def logpr_backend() -> PrBackend:
     )
 
 
+def _balanced_from_real(p):
+    if not 0.0 <= p <= 1.0:
+        raise DomainFault("probability %r outside [0, 1]" % (p,))
+    return balanced._canonical(p, 0)
+
+
+def _balanced_div(a, b):
+    """balanced.div clamped at ONE, tested before dividing so no quotient leaves the exponent range."""
+    if b.significand != 0.0 and balanced.cmp(a, b) >= 0:
+        return balanced.ONE
+    return balanced.div(a, b)
+
+
 def _balanced_neg_ln(b):
     if b.significand == 0.0:
         return math.inf
@@ -118,11 +131,11 @@ def balanced_backend() -> PrBackend:
         name="balanced",
         zero=balanced.ZERO,
         one=balanced.ONE,
-        from_real=balanced.from_real,
+        from_real=_balanced_from_real,
         to_real=balanced.to_real,
         mul=balanced.mul,
-        div=balanced.div,
-        add=balanced.add,
+        div=_balanced_div,
+        add=balanced._probability_add,
         cmp=balanced.cmp,
         neg_ln=_balanced_neg_ln,
         ln_tolerance=2.0 ** -22,

@@ -45,9 +45,15 @@ class Trie(Container):
         Only strings that missed the dict need this: a stored string holds no bad symbol.
         """
         width = self.symbol_width
-        for symbol in string:
-            if symbol < 0 or symbol >> 8 * width:
-                raise RangeFault("symbol %d does not fit in %d bytes" % (symbol, width))
+        try:
+            for symbol in string:
+                if symbol >> 8 * width:  # also true for every negative int
+                    raise RangeFault("symbol %d does not fit in %d bytes" % (symbol, width))
+        except TypeError:  # `>>` refuses floats: 6.0 stands for the symbol 6, and 6.5 for none
+            for symbol in string:
+                if symbol % 1:
+                    raise DomainFault("symbol %r is not an integer" % (symbol,)) from None
+            return self._checked(tuple(map(int, string)))
         return tuple(map(int, string))
 
     def __len__(self) -> int:

@@ -23,24 +23,37 @@ from pakit.trie import Trie
 from pakit.unigram import UnigramTable
 from pakit.vector import Vector
 
+
+def _hash(container):
+    """hash() of a live container; Vector and UnigramTable compare by value, so they have none."""
+    try:
+        return hash(container)
+    except TypeError:
+        return None
+
+
+COMPARISONS = (lambda c: c == c, lambda c: c != c, _hash)
+
 # name: (make a live container, one checked operation on it, reads that must fault once destroyed)
 CONTAINERS = {
     "Vector": (
-        lambda: Vector(2, [b"ab"]), lambda c: c.append(b"cd"), (len, iter, lambda c: c == c, lambda c: c.element_size)
+        lambda: Vector(2, [b"ab"]), lambda c: c.append(b"cd"), (len, iter, lambda c: c.element_size) + COMPARISONS
     ),
     "CompactTable": (
-        lambda: CompactTable(4, 1), lambda c: c.lookup(b"abcd"), (len, lambda c: c.items(), lambda c: c.key_size)
+        lambda: CompactTable(4, 1),
+        lambda c: c.lookup(b"abcd"),
+        (len, lambda c: c.items(), lambda c: c.key_size) + COMPARISONS,
     ),
-    "Trie": (lambda: Trie(1), lambda c: c.index_of(b"ab"), (len, lambda c: c.symbol_width)),
+    "Trie": (lambda: Trie(1), lambda c: c.index_of(b"ab"), (len, lambda c: c.symbol_width) + COMPARISONS),
     "UnigramTable": (
         lambda: UnigramTable(4),
         lambda c: c.increment(0),
-        (lambda c: c.counter_width, lambda c: c == c, lambda c: c.alphabet_size),
+        (lambda c: c.counter_width, lambda c: c.alphabet_size) + COMPARISONS,
     ),
     "HashTable": (
         lambda: HashTable(symbol_spec()),
         lambda c: c.find(1),
-        (len, lambda c: c.capacity, lambda c: c.tombstone_count, lambda c: c.items(), lambda c: c.spec),
+        (len, lambda c: c.capacity, lambda c: c.tombstone_count, lambda c: c.items(), lambda c: c.spec) + COMPARISONS,
     ),
 }
 CLASSES = {cls.__name__: cls for cls in (Vector, CompactTable, Trie, UnigramTable, HashTable)}

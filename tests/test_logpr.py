@@ -98,8 +98,7 @@ def test_add_clamps_at_one():
 def test_div():
     a, b = logpr.from_real(0.25), logpr.from_real(0.5)
     assert logpr.to_real(logpr.div(a, b)) == pytest.approx(0.5, rel=1e-15)
-    with pytest.raises(DomainFault):
-        logpr.div(b, a)  # quotient above 1
+    assert logpr.div(b, a) == logpr.ONE  # a quotient above 1 clamps to exactly 1
     with pytest.raises(DomainFault):
         logpr.div(a, logpr.ZERO)
 

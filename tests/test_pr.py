@@ -4,10 +4,11 @@ import random
 import struct
 from io import BytesIO
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from pakit import bench, fixedlog, logpr, pr
+from pakit import balanced, bench, fixedlog, logpr, pr
 from pakit.errors import DomainFault
 
 
@@ -202,3 +203,93 @@ def test_logpr_results_write_the_pinned_bytes():
     data = stream.getvalue()
     assert len(data) == 2 * 3004 * 8
     assert hashlib.sha256(data).hexdigest() == "365bd18117bb278115e28649b35ab69a01a8956bddcd4ffcaf4379ec50f8bfcd"
+
+
+# --- one probability rule on every descriptor ----------------------------
+
+
+def test_out_of_range_answers_are_the_same_on_every_backend(backend):
+    f, one = backend.from_real, backend.one
+    assert backend.add(one, one) == one
+    assert backend.add(f(0.6), f(0.7)) == one
+    assert backend.div(f(0.6), f(0.3)) == one
+    assert backend.div(one, f(0.5)) == one
+    for p in (1.5, -0.5, math.nan, math.inf):
+        with pytest.raises(DomainFault):
+            f(p)
+    with pytest.raises(DomainFault):
+        backend.div(f(0.5), backend.zero)
+
+
+def test_quotient_of_an_exact_one_never_raises(backend):
+    # x * w + x * (1 - w) is x in the reals, so the quotient is 1 up to rounding
+    rng = random.Random(3)
+    f = backend.from_real
+    worst = 0.0
+    for _ in range(2000):
+        x, w = f(rng.uniform(1e-6, 1.0)), rng.random()
+        quotient = backend.div(backend.add(backend.mul(x, f(w)), backend.mul(x, f(1.0 - w))), x)
+        worst = max(worst, abs(backend.neg_ln(quotient)))
+    assert worst <= 10 * backend.ln_tolerance
+
+
+def test_add_matches_mpmath(backend):
+    # the oracle adds the decoded inputs, so only add's own rounding counts
+    rng = random.Random(84)
+    pairs = [(0.5, 0.5), (0.25, 0.75), (1e-300, 1e-300), (1e-12, 1.0 - 1e-12)]
+    for index in range(2000):
+        p = rng.random() if index % 2 else math.exp(rng.uniform(math.log(1e-30), 0.0))
+        pairs.append((p, (1.0 - p) * rng.random()))
+    with mpmath.workdps(40):
+        for p, q in pairs:
+            if q == 0.0:
+                continue
+            a, b = backend.from_real(p), backend.from_real(q)
+            exact = -mpmath.log(mpmath.mpf(backend.to_real(a)) + mpmath.mpf(backend.to_real(b)))
+            error = abs(mpmath.mpf(backend.neg_ln(backend.add(a, b))) - exact)
+            assert error <= backend.ln_tolerance + 1e-12, (p, q)
+
+
+# double and logpr div as they were before the probability rule: both raised above one
+def _raising_double_div(a, b):
+    if b == 0.0:
+        raise DomainFault("division by probability zero")
+    if a > b:
+        raise DomainFault("quotient exceeds probability 1")
+    quotient = a / b
+    return quotient if quotient < 1.0 else 1.0
+
+
+def _raising_logpr_div(a, b):
+    if b == logpr.ZERO:
+        raise DomainFault("division by probability zero")
+    if a == logpr.ZERO:
+        return logpr.ZERO
+    result = a - b
+    if result < 0.0:
+        raise DomainFault("quotient exceeds probability 1")
+    return result
+
+
+def _bits(value):
+    if isinstance(value, balanced.BalancedNumber):
+        return struct.pack(">d", value.significand), value.exponent
+    return struct.pack(">d", value)
+
+
+in_range = st.tuples(probability, probability).map(sorted).filter(lambda pq: pq[0] + pq[1] < 1.0)
+
+
+@given(in_range)
+def test_in_range_results_are_unchanged(pq):
+    p, q = pq
+    view = pr.balanced_backend()
+    a, b = view.from_real(p), view.from_real(q)
+    assert _bits(a) == _bits(balanced.from_real(p))
+    assert _bits(b) == _bits(balanced.from_real(q))
+    assert _bits(view.add(a, b)) == _bits(balanced.add(a, b))
+    if q > 0.0:
+        assert _bits(view.div(a, b)) == _bits(balanced.div(a, b))
+        assert _bits(pr.double_backend().div(p, q)) == _bits(_raising_double_div(p, q))
+        x, y = logpr.from_real(p), logpr.from_real(q)
+        assert _bits(pr.logpr_backend().div(x, y)) == _bits(_raising_logpr_div(x, y))

@@ -244,6 +244,18 @@ def test_string_of_gives_plain_ints():
     t.destroy()
 
 
+def test_integral_float_symbols_intern_as_ints():
+    # the hit path compares the caller's tuple, where 6.0 == 6; a miss must agree
+    t = Trie(1)
+    assert t.index_of([6.0]) == 0
+    assert t.index_of([6]) == 0
+    assert [type(symbol) for symbol in t.string_of(0)] == [int]
+    with pytest.raises(DomainFault, match="symbol 6.5 is not an integer"):
+        t.index_of([6.5])
+    assert len(t) == 1
+    t.destroy()
+
+
 def test_interned_strings_stay_small_in_real_bytes():
     # 10,500 draws give 9,698 distinct words; the node store held 4.38 MB for them
     rng = random.Random(5)
