@@ -12,10 +12,18 @@ the larger operand unchanged: the smaller one is below single
 resolution.  Infinities and NaNs are not values here; anything that
 leaves the representation raises instead.
 
-How results are built.  Every result is made with
-tuple.__new__(BalancedNumber, (m, exp)), which skips the NamedTuple's
+How results are built.  Each operation has one body, a private function
+that accepts any (significand, exponent) pair and returns the plain
+tuple literal (m, exp), or an operand as it was given where add passes
+one through.  The public functions box that result once, with
+tuple.__new__(BalancedNumber, ...), which skips the NamedTuple's
 keyword-checking __new__ and gives the same type, fields and equality.
-The operations first bring the double result m into the band
+pr's probability view binds the bodies directly: CPython specializes
+unpacking and building only for exact tuples, so on a tuple subclass
+those two steps cost more than the arithmetic.  The readers (cmp,
+to_real, ln_abs, write) unpack, so they take either form.
+
+The bodies first bring the double result m into the band
 0.5 <= |m| < 1.  Where the range of m is known that takes one
 comparison and an exact doubling or halving: a product of two canonical
 significands lies in [0.25, 1), a quotient in (0.5, 2), an aligned sum
@@ -64,21 +72,21 @@ ZERO = BalancedNumber(0.0, 0)
 ONE = BalancedNumber(0.5, 1)
 
 
-def _rounded(m: float, exp: int) -> BalancedNumber:
-    """Round m, already in the band 0.5 <= |m| < 1, and build the value."""
+def _rounded(m: float, exp: int) -> tuple:
+    """Round m, already in the band 0.5 <= |m| < 1, and build the pair."""
     m = (m + _ROUND) - _ROUND
     if m == 1.0 or m == -1.0:  # rounding crossed the top of the binade
         m *= 0.5
         exp += 1
     if _EXP_MIN <= exp <= _EXP_MAX:
-        return _new(BalancedNumber, (m, exp))
+        return (m, exp)
     raise RangeFault("exponent %d outside 32-bit range" % exp)
 
 
-def _canonical(sig: float, exp: int) -> BalancedNumber:
+def _canonical(sig: float, exp: int) -> tuple:
     """sig * 2**exp for any double sig; the path with no range assumption."""
     if sig == 0.0:
-        return ZERO
+        return (0.0, 0)
     m, shift = math.frexp(sig)
     return _rounded(m, exp + shift)
 
@@ -87,18 +95,19 @@ def from_real(x: float) -> BalancedNumber:
     """Convert a finite double; the significand rounds to single precision."""
     if not math.isfinite(x):
         raise DomainFault("cannot represent non-finite value %r" % (x,))
-    return _canonical(x, 0)
+    return _new(BalancedNumber, _canonical(x, 0))
 
 
 def to_real(b: BalancedNumber) -> float:
     """Convert back to double; out-of-range exponents raise, never wrap."""
-    if b.significand == 0.0:
+    significand, exponent = b
+    if significand == 0.0:
         return 0.0
-    if b.exponent > 1024:
-        raise OverflowFault("exponent %d exceeds double range" % b.exponent)
-    if b.exponent < -1073:
-        raise UnderflowFault("exponent %d below double range" % b.exponent)
-    return math.ldexp(b.significand, b.exponent)
+    if exponent > 1024:
+        raise OverflowFault("exponent %d exceeds double range" % exponent)
+    if exponent < -1073:
+        raise UnderflowFault("exponent %d below double range" % exponent)
+    return math.ldexp(significand, exponent)
 
 
 def neg(a: BalancedNumber) -> BalancedNumber:
@@ -108,7 +117,7 @@ def neg(a: BalancedNumber) -> BalancedNumber:
     return _new(BalancedNumber, (-sa, ea))
 
 
-def mul(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
+def _mul(a, b) -> tuple:
     sa, ea = a
     sb, eb = b
     m = sa * sb
@@ -124,7 +133,7 @@ def mul(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
         m += m
         exp -= 1
     elif sa == 0.0 or sb == 0.0:
-        return ZERO
+        return (0.0, 0)
     else:
         return _canonical(m, exp)
     m = (m + _ROUND) - _ROUND  # _rounded, inlined
@@ -132,17 +141,21 @@ def mul(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
         m *= 0.5
         exp += 1
     if _EXP_MIN <= exp <= _EXP_MAX:
-        return _new(BalancedNumber, (m, exp))
+        return (m, exp)
     raise RangeFault("exponent %d outside 32-bit range" % exp)
 
 
-def div(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
+def mul(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
+    return _new(BalancedNumber, _mul(a, b))
+
+
+def _div(a, b) -> tuple:
     sa, ea = a
     sb, eb = b
     if sb == 0.0:
         raise DomainFault("division by zero")
     if sa == 0.0:
-        return ZERO
+        return (0.0, 0)
     q = sa / sb
     exp = ea - eb
     # canonical significands give 0.5 < |q| < 2; the rest takes frexp
@@ -154,9 +167,13 @@ def div(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
     return _canonical(q, exp)
 
 
+def div(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
+    return _new(BalancedNumber, _div(a, b))
+
+
 def _adder(ceiling: int, above):
     """The one add body: a result exponent past `ceiling` gives `above`, or RangeFault when it is None."""
-    def add(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
+    def add(a, b) -> tuple:
         sa, ea = a
         sb, eb = b
         if sa == 0.0:
@@ -194,15 +211,19 @@ def _adder(ceiling: int, above):
             m *= 0.5
             exp += 1
         if _EXP_MIN <= exp <= ceiling:
-            return _new(BalancedNumber, (m, exp))
+            return (m, exp)
         if exp > ceiling and above is not None:
             return above
         raise RangeFault("exponent %d outside 32-bit range" % exp)
     return add
 
 
-add = _adder(_EXP_MAX, None)
-_probability_add = _adder(0, ONE)  # pr's view: a canonical value >= 0 is >= 1 iff its exponent is >= 1
+_add = _adder(_EXP_MAX, None)
+_probability_add = _adder(0, (0.5, 1))  # pr's view: a canonical value >= 0 is >= 1 iff its exponent is >= 1
+
+
+def add(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
+    return _new(BalancedNumber, _add(a, b))
 
 
 def sub(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
@@ -211,31 +232,35 @@ def sub(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
 
 def cmp(a: BalancedNumber, b: BalancedNumber) -> int:
     """Total order on represented values; never converts to double."""
-    sign_a = (a.significand > 0.0) - (a.significand < 0.0)
-    sign_b = (b.significand > 0.0) - (b.significand < 0.0)
+    sa, ea = a
+    sb, eb = b
+    sign_a = (sa > 0.0) - (sa < 0.0)
+    sign_b = (sb > 0.0) - (sb < 0.0)
     if sign_a != sign_b:
         return -1 if sign_a < sign_b else 1
     if sign_a == 0:
         return 0
-    if a.exponent != b.exponent:
+    if ea != eb:
         # larger exponent means larger magnitude; flips under a negative sign
-        return sign_a if a.exponent > b.exponent else -sign_a
-    if a.significand == b.significand:
+        return sign_a if ea > eb else -sign_a
+    if sa == sb:
         return 0
-    return 1 if a.significand > b.significand else -1
+    return 1 if sa > sb else -1
 
 
 def ln_abs(b: BalancedNumber) -> float:
     """Natural log of |value| as a double; defined far outside double range."""
-    if b.significand == 0.0:
+    significand, exponent = b
+    if significand == 0.0:
         raise DomainFault("log of zero")
-    return math.log(abs(b.significand)) + b.exponent * _LN2
+    return math.log(abs(significand)) + exponent * _LN2
 
 
 def write(stream, b: BalancedNumber) -> None:
     """4-byte single-precision significand, 4-byte big-endian exponent."""
-    stream.write(_PACK_F32.pack(b.significand))
-    stream.write(_PACK_I32.pack(b.exponent))
+    significand, exponent = b
+    stream.write(_PACK_F32.pack(significand))
+    stream.write(_PACK_I32.pack(exponent))
 
 
 def read(stream) -> BalancedNumber:

@@ -111,7 +111,11 @@ def run(config: BenchConfig) -> list[BenchResult]:
     if unknown:
         raise DomainFault("unknown backend name(s): %s" % ", ".join(sorted(unknown)))
 
-    repetitions = max(1, int(os.environ.get("PA_BENCH_REPS", DEFAULT_REPS)))
+    reps = os.environ.get("PA_BENCH_REPS", DEFAULT_REPS)
+    try:
+        repetitions = max(1, int(reps))
+    except ValueError:
+        raise DomainFault("PA_BENCH_REPS must be an integer, got %r" % reps) from None
     results = []
     for name in names:
         backend = pr.backend_by_name(name)

@@ -5,14 +5,17 @@ uniform callables, so the same algorithm, conformance suite, or
 benchmark can run against native doubles, the log-domain double type,
 the extended-exponent type, or the fixed-point log type by swapping a
 descriptor.  Backend values are opaque: floats for double and logpr,
-integer codes for fixedlog, significand/exponent pairs for balanced.
+integer codes for fixedlog, and plain (significand, exponent) tuples for
+balanced, which its descriptor computes on through the balanced module's
+operation bodies.
 
 Every descriptor follows one rule.  Values are probabilities: `from_real`
 raises DomainFault for any input outside [0, 1], NaN included; `add` and
 `div` return `one` wherever the result would be above one; `div` by `zero`
-raises DomainFault.  neg_ln maps any backend value onto the real line as
--ln(p) without leaving the representation's range, which is what lets
-conformance and benchmark results be compared across backends.
+raises DomainFault; `to_real` returns the nearest double, which is 0.0
+below the double range.  neg_ln maps any backend value onto the real
+line as -ln(p) without leaving the representation's range, which is
+what lets conformance and benchmark results be compared across backends.
 """
 
 import math
@@ -113,27 +116,39 @@ def _balanced_from_real(p):
     return balanced._canonical(p, 0)
 
 
+def _balanced_to_real(b):
+    significand, exponent = b
+    return math.ldexp(significand, exponent)  # the nearest double: 0.0 below its range
+
+
 def _balanced_div(a, b):
-    """balanced.div clamped at ONE, tested before dividing so no quotient leaves the exponent range."""
-    if b.significand != 0.0 and balanced.cmp(a, b) >= 0:
-        return balanced.ONE
-    return balanced.div(a, b)
+    """balanced's div body clamped at one, tested before dividing so no quotient leaves the exponent range."""
+    significand, _ = b
+    if significand != 0.0 and balanced.cmp(a, b) >= 0:
+        return (0.5, 1)
+    return balanced._div(a, b)
 
 
 def _balanced_neg_ln(b):
-    if b.significand == 0.0:
+    significand, _ = b
+    if significand == 0.0:
         return math.inf
     return -balanced.ln_abs(b)
 
 
 def balanced_backend() -> PrBackend:
+    """The extended-exponent type as a probability view over balanced's operation bodies.
+
+    Values are plain (significand, exponent) tuples, not BalancedNumber:
+    CPython specializes unpacking and building only for exact tuples.
+    """
     return PrBackend(
         name="balanced",
-        zero=balanced.ZERO,
-        one=balanced.ONE,
+        zero=(0.0, 0),
+        one=(0.5, 1),
         from_real=_balanced_from_real,
-        to_real=balanced.to_real,
-        mul=balanced.mul,
+        to_real=_balanced_to_real,
+        mul=balanced._mul,
         div=_balanced_div,
         add=balanced._probability_add,
         cmp=balanced.cmp,

@@ -118,6 +118,12 @@ def test_cli_reports_usage_fault():
     assert exit_code == 2
 
 
+def test_cli_reports_a_non_integer_repetition_count(monkeypatch, capsys):
+    monkeypatch.setenv("PA_BENCH_REPS", "x")
+    assert bench.main(["--ops", "30"]) == 2
+    assert capsys.readouterr().err == "pa-bench: PA_BENCH_REPS must be an integer, got 'x'\n"
+
+
 def test_cli_subprocess_csv():
     # Minimal environment: the CLI must need nothing from the caller's shell.
     # PYTHONPATH points at the directory holding the pakit this process

@@ -6,10 +6,11 @@ from io import BytesIO
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pakit import balanced, bench, fixedlog, logpr, pr
-from pakit.errors import DomainFault
+from pakit.balanced import ALIGN_CUTOFF
+from pakit.errors import DomainFault, RangeFault
 
 
 def backend_ids():
@@ -272,8 +273,9 @@ def _raising_logpr_div(a, b):
 
 
 def _bits(value):
-    if isinstance(value, balanced.BalancedNumber):
-        return struct.pack(">d", value.significand), value.exponent
+    if isinstance(value, tuple):
+        significand, exponent = value
+        return struct.pack(">d", significand), exponent
     return struct.pack(">d", value)
 
 
@@ -293,3 +295,94 @@ def test_in_range_results_are_unchanged(pq):
         assert _bits(pr.double_backend().div(p, q)) == _bits(_raising_double_div(p, q))
         x, y = logpr.from_real(p), logpr.from_real(q)
         assert _bits(pr.logpr_backend().div(x, y)) == _bits(_raising_logpr_div(x, y))
+
+
+def test_to_real_gives_zero_below_the_double_range(backend):
+    x = backend.from_real(1e-200)
+    assert backend.to_real(backend.mul(x, x)) == 0.0
+
+
+# --- the balanced view computes on exact tuples ----------------------------
+
+
+def test_balanced_view_results_are_exact_tuples():
+    view = pr.balanced_backend()
+    f, one, zero = view.from_real, view.one, view.zero
+    x, y = f(0.3), f(0.7)
+    tiny = (0.5, -ALIGN_CUTOFF - 3)
+    results = [
+        zero, one, x, f(0.0), f(1.0),
+        view.mul(x, y), view.mul(zero, x), view.mul(x, zero), view.mul(one, x),
+        view.mul((0.25, 0), (0.25, 0)), view.mul((1.5, -1), (1.5, -1)),  # _canonical fallbacks
+        view.add(x, y), view.add(x, f(0.1)), view.add(zero, x), view.add(x, zero), view.add(x, tiny),
+        view.add(one, one), view.add((1.5, -2), (1.5, -2)),
+        view.div(x, y), view.div(zero, x), view.div(y, x), view.div(x, x), view.div((0.25, 0), (0.9, 0)),
+    ]
+    for value in results:
+        assert type(value) is tuple, value
+
+
+def _boxed(value):
+    return balanced.BalancedNumber(*value)
+
+
+def _clamped(value):
+    return balanced.ONE if balanced.cmp(value, balanced.ONE) > 0 else value
+
+
+# the descriptor's rule written over the module's operations
+_MODULE_OPERATIONS = {
+    "mul": balanced.mul,
+    "add": lambda a, b: _clamped(balanced.add(a, b)),
+    "div": lambda a, b: balanced.ONE if balanced.cmp(a, b) >= 0 else balanced.div(a, b),
+}
+
+_significands = st.integers(1 << 23, (1 << 24) - 1).map(lambda k: k / 2.0**24)
+_exponents = st.one_of(
+    st.integers(-60, 0),
+    st.integers(-(1 << 30) - 40, -(1 << 30) + 40),
+    st.integers(-(1 << 31), -(1 << 31) + 60),
+)
+canonical_probability = st.one_of(
+    st.just((0.0, 0)), st.just((0.5, 1)), st.tuples(_significands, _exponents)
+)
+
+
+def _outcome(operation, a, b):
+    """The result and its bits, or None and the RangeFault's text."""
+    try:
+        result = operation(a, b)
+    except RangeFault as fault:
+        return None, "RangeFault: %s" % fault
+    return result, _bits(result)
+
+
+@given(canonical_probability, canonical_probability)
+@example((0.5, -(1 << 30)), (0.5, -(1 << 30)))  # the product's exponent leaves the 32-bit range
+def test_balanced_view_mul_matches_the_module(a, b):
+    assert _outcome(pr.balanced_backend().mul, a, b)[1] == _outcome(balanced.mul, _boxed(a), _boxed(b))[1]
+
+
+@given(
+    canonical_probability,
+    st.lists(st.tuples(st.sampled_from(sorted(_MODULE_OPERATIONS)), canonical_probability), min_size=3, max_size=3),
+)
+def test_balanced_view_chains_match_the_module(start, steps):
+    view = pr.balanced_backend()
+    value, reference = start, _boxed(start)
+    for name, operand in steps:
+        if name == "div" and operand[0] == 0.0:
+            continue
+        value, bits = _outcome(getattr(view, name), value, operand)
+        reference, reference_bits = _outcome(_MODULE_OPERATIONS[name], reference, _boxed(operand))
+        assert bits == reference_bits, name
+        if value is None:
+            return
+
+
+@given(_significands, _significands, st.integers(-40, 0), st.integers(ALIGN_CUTOFF - 2, ALIGN_CUTOFF + 2))
+def test_balanced_view_add_matches_the_module_across_the_align_cutoff(sa, sb, exponent, gap):
+    a, b = (sa, exponent), (sb, exponent - gap)
+    view = pr.balanced_backend()
+    for x, y in ((a, b), (b, a)):
+        assert _bits(view.add(x, y)) == _bits(_clamped(balanced.add(_boxed(x), _boxed(y))))
