@@ -98,7 +98,14 @@ class Container:
         resize(self._token, self.HEADER_BYTES + payload)
 
     def _check_size(self, value, size: int, what: str) -> bytes:
-        value = bytes(value)
+        """`value` as bytes of exactly `size` bytes; ContractFault for anything else.
+
+        Only bytes-like values pass: `bytes(3)` would be three zero bytes.
+        """
+        try:
+            value = memoryview(value).tobytes()
+        except TypeError:
+            raise ContractFault("%s must be bytes-like, got %s" % (what, type(value).__name__)) from None
         if len(value) != size:
             raise ContractFault("%s is %d bytes, expected %d" % (what, len(value), size))
         return value

@@ -14,7 +14,10 @@ the order check when a table is read, run in numpy on a zero-copy view
 of the same pair buffer (key field `S<key_size>`, datum field
 `V<datum_size>`); a caller-supplied `key_compare` is searched in Python.
 The view is cached between lookups and dropped before every resize of
-the buffer, which a live view would block.
+the buffer, which a live view would block.  A lookup with the view
+cached searches it inline, in a single Python frame; insert, delete, a
+caller-supplied order and the first lookup after a change share the
+one search helper, `_search`.
 """
 
 import struct
@@ -31,7 +34,7 @@ class CompactTable(Container):
 
     __slots__ = (
         "key_size", "datum_size", "key_compare", "_pairs", "_count", "_keys",
-        "_key_from", "_datum_from",
+        "_key_from", "_datum_from", "_pair_from",
     )
 
     def __init__(self, key_size: int, datum_size: int, key_compare=None):
@@ -48,15 +51,12 @@ class CompactTable(Container):
         # slice readers that copy once into bytes and hold no export of _pairs after the call
         self._key_from = struct.Struct("%ds" % key_size).unpack_from
         self._datum_from = struct.Struct("%ds" % datum_size).unpack_from
+        self._pair_from = struct.Struct("%ds%ds" % (key_size, datum_size)).unpack_from
         super().__init__()
 
     def _key_at(self, rank: int) -> bytes:
         (key,) = self._key_from(self._pairs, rank * (self.key_size + self.datum_size))
         return key
-
-    def _datum_at(self, rank: int) -> bytes:
-        (datum,) = self._datum_from(self._pairs, rank * (self.key_size + self.datum_size) + self.key_size)
-        return datum
 
     def _key_view(self):
         """The keys of _pairs as a zero-copy numpy `S<key_size>` array, cached.
@@ -96,8 +96,21 @@ class CompactTable(Container):
 
     def lookup(self, key):
         """Return the datum bytes paired with `key`, or None if absent."""
-        found, rank = self._search(self._check_size(key, self.key_size, "key"))
-        return self._datum_at(rank) if found else None
+        key_size = self.key_size
+        if type(key) is not bytes or len(key) != key_size:
+            key = self._check_size(key, key_size, "key")
+        keys = self._keys  # cached only under the default order
+        if keys is None:
+            found, rank = self._search(key)
+            offset = rank * (key_size + self.datum_size)
+        else:  # _search's default-order branch, without its frame
+            rank = int(keys.searchsorted(key))
+            offset = rank * (key_size + self.datum_size)
+            found = rank < self._count and self._pairs.startswith(key, offset)
+        if not found:
+            return None
+        (datum,) = self._datum_from(self._pairs, offset + key_size)
+        return datum
 
     def __contains__(self, key) -> bool:
         return self.lookup(key) is not None
@@ -135,11 +148,13 @@ class CompactTable(Container):
         """Return the rank-th smallest (key, datum); 0 <= rank < len."""
         if not 0 <= rank < self._count:
             raise RangeFault("rank %d out of range for %d entries" % (rank, self._count))
-        return self._key_at(rank), self._datum_at(rank)
+        return self._pair_from(self._pairs, rank * (self.key_size + self.datum_size))
 
     def items(self):
         """Iterator over (key, datum) pairs in key order."""
-        return ((self._key_at(rank), self._datum_at(rank)) for rank in range(self._count))
+        pair_from, pair_size = self._pair_from, self.key_size + self.datum_size
+        for offset in range(0, self._count * pair_size, pair_size):
+            yield pair_from(self._pairs, offset)  # reads _pairs each step: a destroyed table faults
 
     def write(self, stream) -> None:
         """Write 8-byte entry count, then the raw sorted pair bytes."""

@@ -92,7 +92,9 @@ def string_spec() -> HashSpec:
     return HashSpec(key_size=None, hash1=fnv1a_64, hash2=djb2_64, key_equal=operator.eq)
 
 
-class _Tombstone:
+class _Tombstone(tuple):
+    """The empty tuple's falsiness, in C: filter(None, slots) skips it as it skips None."""
+
     __slots__ = ()
 
     def __repr__(self):
@@ -224,8 +226,9 @@ class HashTable(Container):
         return self._live_entries(self._mods)
 
     def _live_entries(self, mods: int):
-        for entry in self._slots:
+        for entry in filter(None, self._slots):
             if mods != self._mods:
                 raise ContractFault("HashTable mutated during iteration")
-            if entry is not None and entry is not _TOMBSTONE:
-                yield entry
+            yield entry
+        if mods != self._mods:  # a mutation after the last live slot
+            raise ContractFault("HashTable mutated during iteration")

@@ -93,10 +93,10 @@ class Trie(Container):
         big-endian.
         """
         code = _STRUCT_CODES[self.symbol_width]
+        write_records = wire.write_records
         wire.write_uint(stream, len(self._strings), 8)
         for string in self._strings:
-            packed = struct.pack(">%d%s" % (len(string), code), *string)
-            wire.write_records(stream, len(string), packed)
+            write_records(stream, len(string), struct.pack(">%d%s" % (len(string), code), *string))
 
     @classmethod
     def read(cls, stream, symbol_width: int) -> "Trie":
@@ -104,10 +104,11 @@ class Trie(Container):
         trie = cls(symbol_width)
         code = _STRUCT_CODES[symbol_width]
         index, strings = trie._index, trie._strings
+        read_records = wire.read_records
         with trie._destroy_on_error():
             count = wire.read_uint(stream, 8)
             for expected in range(count):
-                length, raw = wire.read_records(stream, symbol_width)
+                length, raw = read_records(stream, symbol_width)
                 string = struct.unpack(">%d%s" % (length, code), raw)
                 assigned = index.setdefault(string, expected)
                 if assigned != expected:

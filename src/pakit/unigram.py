@@ -34,12 +34,11 @@ class UnigramTable(Container):
         self._total = 0
         super().__init__(alphabet_size)
 
-    def _check_symbol(self, symbol: int) -> int:
+    def _check_symbol(self, symbol: int) -> None:
         if not 0 <= symbol < self.alphabet_size:
             raise RangeFault(
                 "symbol %d out of range for alphabet of %d" % (symbol, self.alphabet_size)
             )
-        return symbol
 
     def _widen_to(self, width: int) -> None:
         self._counters = self._counters.astype(_WIDTH_DTYPES[width])
@@ -65,7 +64,9 @@ class UnigramTable(Container):
 
     def count(self, symbol: int) -> int:
         """Exact frequency of `symbol`, independent of the current width."""
-        return self._counters.item(self._check_symbol(symbol))
+        if 0 <= symbol < self.alphabet_size:
+            return self._counters.item(symbol)
+        self._check_symbol(symbol)  # raises
 
     def total(self) -> int:
         """Sum of all counters."""

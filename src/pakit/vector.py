@@ -10,19 +10,20 @@ runs in numpy, in place, on a zero-copy `S<element_size>` view of the
 buffer; a caller-supplied order sorts in Python.
 """
 
+import struct
 from functools import cmp_to_key
 
 import numpy as np
 
 from . import wire
-from .accounting import Container
+from .accounting import Container, resize
 from .errors import ContractFault, DomainFault, RangeFault
 
 
 class Vector(Container):
     """Growable sequence of fixed-size byte elements."""
 
-    __slots__ = ("element_size", "_buf")
+    __slots__ = ("element_size", "_buf", "_element_from")
 
     HEADER_BYTES = 32
 
@@ -31,6 +32,8 @@ class Vector(Container):
             raise DomainFault("element_size must be >= 1, got %d" % element_size)
         self.element_size = element_size
         self._buf = bytearray()
+        # copies one element into bytes and holds no export of _buf after the call
+        self._element_from = struct.Struct("%ds" % element_size).unpack_from
         super().__init__()
         for element in elements:
             self.append(element)
@@ -39,13 +42,13 @@ class Vector(Container):
         return len(self._buf) // self.element_size
 
     def __getitem__(self, index: int) -> bytes:
-        n = len(self)
+        n = len(self._buf) // self.element_size
         if index < 0:
             index += n
         if not 0 <= index < n:
             raise RangeFault("index %d out of range for length %d" % (index, n))
-        offset = index * self.element_size
-        return bytes(self._buf[offset : offset + self.element_size])
+        (element,) = self._element_from(self._buf, index * self.element_size)
+        return element
 
     def __setitem__(self, index: int, element) -> None:
         element = self._check_size(element, self.element_size, "element")
@@ -66,8 +69,10 @@ class Vector(Container):
         return self.element_size == other.element_size and self._buf == other._buf
 
     def append(self, element) -> None:
-        self._buf += self._check_size(element, self.element_size, "element")
-        self._resize(len(self._buf))
+        if type(element) is not bytes or len(element) != self.element_size:
+            element = self._check_size(element, self.element_size, "element")
+        self._buf += element
+        resize(self._token, self.HEADER_BYTES + len(self._buf))  # what _resize does, one frame fewer
 
     def insert(self, position: int, element) -> None:
         """Insert `element` so it ends up at `position`; 0 <= position <= len."""

@@ -5,6 +5,12 @@ variable-length payloads are preceded by an 8-byte length, so a decoder
 always knows exactly where each value ends: a run of equal-size records
 carries its record count, and a byte block is a run of one-byte records.
 Streams are ordinary binary file objects (files, BytesIO).
+
+A run of records is one call in each direction with no helper frame:
+writing it takes two `write` calls, and reading it takes one read for
+the count and one for a payload of at most READ_CHUNK_BYTES.  A longer
+payload is read chunk by chunk, so a hostile count costs no more memory
+than the stream really holds.
 """
 
 from .errors import DecodeFault, DomainFault, RangeFault
@@ -39,7 +45,9 @@ def read_uint(stream, width: int) -> int:
 
 def write_records(stream, count: int, payload) -> None:
     """Write an 8-byte big-endian record count, then the bytes-like payload without a copy."""
-    write_uint(stream, count, BLOCK_LENGTH_WIDTH)
+    if count < 0 or count >> (8 * BLOCK_LENGTH_WIDTH):
+        raise RangeFault("value %d does not fit in %d bytes" % (count, BLOCK_LENGTH_WIDTH))
+    stream.write(count.to_bytes(BLOCK_LENGTH_WIDTH, "big"))
     stream.write(payload)
 
 
@@ -47,8 +55,15 @@ def read_records(stream, record_size: int) -> tuple[int, bytes]:
     """Read one run of `record_size`-byte records; inverse of write_records."""
     if record_size < 1:
         raise DomainFault("record_size must be >= 1, got %d" % record_size)
-    count = read_uint(stream, BLOCK_LENGTH_WIDTH)
-    return count, read_exact(stream, count * record_size)
+    header = stream.read(BLOCK_LENGTH_WIDTH)
+    if len(header) != BLOCK_LENGTH_WIDTH:
+        raise DecodeFault("truncated stream: wanted %d bytes, got %d" % (BLOCK_LENGTH_WIDTH, len(header)))
+    count = int.from_bytes(header, "big")
+    size = count * record_size
+    payload = stream.read(min(size, READ_CHUNK_BYTES))
+    if len(payload) != size:
+        payload = _read_rest(stream, size, payload)
+    return count, payload
 
 
 def write_block(stream, payload: bytes) -> None:
@@ -68,8 +83,14 @@ def read_exact(stream, count: int) -> bytes:
     costs no more memory than the stream really holds; a payload no
     longer than one chunk takes a single read.
     """
-    chunks = []
-    remaining = count
+    data = stream.read(min(count, READ_CHUNK_BYTES))
+    return data if len(data) == count else _read_rest(stream, count, data)
+
+
+def _read_rest(stream, count: int, head: bytes) -> bytes:
+    """`head`, the first read towards `count` bytes, joined with the chunks that complete it."""
+    chunks = [head]
+    remaining = count - len(head)
     while remaining > 0:
         chunk = stream.read(min(remaining, READ_CHUNK_BYTES))
         if not chunk:
@@ -78,4 +99,4 @@ def read_exact(stream, count: int) -> bytes:
             )
         chunks.append(chunk)
         remaining -= len(chunk)
-    return chunks[0] if len(chunks) == 1 else b"".join(chunks)
+    return b"".join(chunks)

@@ -114,6 +114,54 @@ def test_destroy_mid_iteration_faults_at_the_next_step(name):
         next(entries)
 
 
+def _vector():
+    return Vector(3, [b"abc"])
+
+
+def _table():
+    return _filled(CompactTable(2, 1), [(b"ky", b"d")])
+
+
+# each call that takes a fixed-size block: (make a container, pass it the block, block size)
+BLOCK_CALLS = {
+    "Vector.append": (_vector, lambda c, block: c.append(block), 3),
+    "Vector.insert": (_vector, lambda c, block: c.insert(0, block), 3),
+    "Vector.__setitem__": (_vector, lambda c, block: c.__setitem__(0, block), 3),
+    "CompactTable.insert key": (_table, lambda c, block: c.insert(block, b"e"), 2),
+    "CompactTable.insert datum": (_table, lambda c, block: c.insert(b"ky", block), 1),
+    "CompactTable.lookup": (_table, lambda c, block: c.lookup(block), 2),
+    "CompactTable.delete": (_table, lambda c, block: c.delete(block), 2),
+}
+
+
+def _contents(container):
+    return list(container) if isinstance(container, Vector) else list(container.items())
+
+
+@pytest.mark.parametrize("value", [int, lambda size: [0] * size, lambda size: "k" * size], ids=["int", "list", "str"])
+@pytest.mark.parametrize("call", BLOCK_CALLS)
+def test_a_block_that_is_not_bytes_like_faults(call, value):
+    make, use, size = BLOCK_CALLS[call]
+    container = make()
+    before = _contents(container)
+    with pytest.raises(ContractFault, match="must be bytes-like"):
+        use(container, value(size))  # bytes(2) would be two zero bytes
+    assert _contents(container) == before
+    container.destroy()
+
+
+@pytest.mark.parametrize("form", [bytes, bytearray, memoryview])
+@pytest.mark.parametrize("call", BLOCK_CALLS)
+def test_every_bytes_like_block_is_taken_as_its_bytes(call, form):
+    make, use, size = BLOCK_CALLS[call]
+    container, reference = make(), make()
+    block = b"ky"[:size] if call.startswith("CompactTable") else b"xyz"
+    assert use(container, form(block)) == use(reference, block)
+    assert _contents(container) == _contents(reference)
+    container.destroy()
+    reference.destroy()
+
+
 @pytest.mark.parametrize("name", CONTAINERS)
 def test_racing_destroys_of_one_container_succeed_once(name):
     threads = 8

@@ -228,6 +228,18 @@ def test_mutation_during_iteration_faults():
     t.destroy()
 
 
+def test_mutation_after_the_last_live_slot_faults():
+    t = HashTable(symbol_spec())
+    last = next(key for key in range(100) if mix64(key) & (t.capacity - 1) == t.capacity - 1)
+    t.insert(last, "last")
+    entries = t.items()
+    assert next(entries) == (last, "last")
+    t.insert(last + 1, "new")  # no live slot follows the one just yielded
+    with pytest.raises(ContractFault, match="mutated during iteration"):
+        next(entries)
+    t.destroy()
+
+
 def test_capacity_must_be_power_of_two():
     with pytest.raises(DomainFault):
         HashTable(symbol_spec(), initial_capacity=12)

@@ -129,6 +129,14 @@ def test_records_are_a_count_then_the_record_bytes():
     assert out.read() == b""
 
 
+@pytest.mark.parametrize("count", [-1, 1 << 64])
+def test_records_count_outside_eight_bytes_faults_before_writing(count):
+    out = BytesIO()
+    with pytest.raises(RangeFault):
+        wire.write_records(out, count, b"")
+    assert out.getvalue() == b""
+
+
 _HOSTILE_LENGTH = (1 << 60).to_bytes(8, "big")
 
 
@@ -180,3 +188,21 @@ def test_read_exact_joins_chunks_of_a_long_payload():
     assert wire.read_exact(stream, len(payload)) == payload
     assert stream.reads == 3
     assert stream.read() == b"tail"
+
+
+@pytest.mark.parametrize("count", [0, 1, wire.READ_CHUNK_BYTES // 4], ids=["empty", "one", "one_chunk"])
+def test_read_records_takes_a_header_read_and_a_payload_read_up_to_a_chunk(count):
+    payload = bytes(range(4)) * count
+    stream = _CountingReads(count.to_bytes(8, "big") + payload + b"tail")
+    assert wire.read_records(stream, 4) == (count, payload)
+    assert stream.reads == 2
+    assert stream.read() == b"tail"
+
+
+_FRAME = (3).to_bytes(8, "big") + b"abcdef"
+
+
+@pytest.mark.parametrize("cut", [0, 1, 7, 8, 9, 13], ids=lambda cut: "at_%d" % cut)
+def test_read_records_of_a_cut_frame_faults(cut):
+    with pytest.raises(DecodeFault, match="truncated stream"):
+        wire.read_records(_CountingReads(_FRAME[:cut]), 2)
