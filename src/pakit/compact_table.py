@@ -14,10 +14,10 @@ the order check when a table is read, run in numpy on a zero-copy view
 of the same pair buffer (key field `S<key_size>`, datum field
 `V<datum_size>`); a caller-supplied `key_compare` is searched in Python.
 The view is cached between lookups and dropped before every resize of
-the buffer, which a live view would block.  A lookup with the view
-cached searches it inline, in a single Python frame; insert, delete, a
-caller-supplied order and the first lookup after a change share the
-one search helper, `_search`.
+the buffer, which a live view would block.  Lookup, insert and delete
+share the one search helper, `_search`, which reads the cached view
+inline, so a lookup of exact `bytes` with the view cached takes two
+Python frames.
 """
 
 import struct
@@ -76,7 +76,8 @@ class CompactTable(Container):
         """Binary search: (True, rank) if present, else (False, insertion rank)."""
         compare = self.key_compare
         if compare is None:
-            rank = int(self._key_view().searchsorted(key))
+            keys = self._keys
+            rank = int((self._key_view() if keys is None else keys).searchsorted(key))
             offset = rank * (self.key_size + self.datum_size)
             return rank < self._count and self._pairs.startswith(key, offset), rank
         lo, hi = 0, self._count
@@ -99,17 +100,10 @@ class CompactTable(Container):
         key_size = self.key_size
         if type(key) is not bytes or len(key) != key_size:
             key = self._check_size(key, key_size, "key")
-        keys = self._keys  # cached only under the default order
-        if keys is None:
-            found, rank = self._search(key)
-            offset = rank * (key_size + self.datum_size)
-        else:  # _search's default-order branch, without its frame
-            rank = int(keys.searchsorted(key))
-            offset = rank * (key_size + self.datum_size)
-            found = rank < self._count and self._pairs.startswith(key, offset)
+        found, rank = self._search(key)
         if not found:
             return None
-        (datum,) = self._datum_from(self._pairs, offset + key_size)
+        (datum,) = self._datum_from(self._pairs, rank * (key_size + self.datum_size) + key_size)
         return datum
 
     def __contains__(self, key) -> bool:

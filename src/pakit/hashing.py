@@ -174,7 +174,7 @@ class HashTable(Container):
                 return index, free
 
     def _rehash(self, new_capacity: int) -> None:
-        entries = [entry for entry in self._slots if entry is not None and entry is not _TOMBSTONE]
+        entries = list(filter(None, self._slots))
         self._slots = slots = [None] * new_capacity
         self._tombstones = 0
         self._mods += 1

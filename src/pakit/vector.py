@@ -16,7 +16,7 @@ from functools import cmp_to_key
 import numpy as np
 
 from . import wire
-from .accounting import Container, resize
+from .accounting import Container
 from .errors import ContractFault, DomainFault, RangeFault
 
 
@@ -72,7 +72,7 @@ class Vector(Container):
         if type(element) is not bytes or len(element) != self.element_size:
             element = self._check_size(element, self.element_size, "element")
         self._buf += element
-        resize(self._token, self.HEADER_BYTES + len(self._buf))  # what _resize does, one frame fewer
+        self._resize(len(self._buf))
 
     def insert(self, position: int, element) -> None:
         """Insert `element` so it ends up at `position`; 0 <= position <= len."""
