@@ -26,7 +26,7 @@ import numpy as np
 
 from . import wire
 from .accounting import Container
-from .errors import DecodeFault, DomainFault, RangeFault
+from .errors import ContractFault, DecodeFault, DomainFault, RangeFault
 
 
 class CompactTable(Container):
@@ -146,9 +146,16 @@ class CompactTable(Container):
 
     def items(self):
         """Iterator over (key, datum) pairs in key order."""
+        return self._pairs_from(self._count)
+
+    def _pairs_from(self, count: int):
         pair_from, pair_size = self._pair_from, self.key_size + self.datum_size
-        for offset in range(0, self._count * pair_size, pair_size):
-            yield pair_from(self._pairs, offset)  # reads _pairs each step: a destroyed table faults
+        for offset in range(0, count * pair_size, pair_size):
+            if self._count != count:  # reads a slot each step: a destroyed table faults too
+                raise ContractFault("CompactTable changed size during iteration")
+            yield pair_from(self._pairs, offset)
+        if self._count != count:  # a change after the last pair
+            raise ContractFault("CompactTable changed size during iteration")
 
     def write(self, stream) -> None:
         """Write 8-byte entry count, then the raw sorted pair bytes."""

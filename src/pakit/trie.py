@@ -5,14 +5,24 @@ Strings are length-delimited sequences of fixed-width unsigned symbols
 The first distinct string inserted gets index 0, the next 1, and so on,
 so n strings always occupy exactly the indices 0..n-1.
 
-There are no nodes and no shared prefixes: one dict maps each whole
-string, as a tuple of ints, to its index, and one list holds the same
-tuples in index order for the inverse map.  The trie registers one
+There are no nodes and no shared prefixes: each string is stored inline
+as its packed form, its symbols as big-endian `symbol_width`-byte
+unsigned integers, which is exactly its `write` payload (Askitis & Zobel
+2005 store strings inline in the same way).  One dict maps each packed
+string to its index, and one list holds the packed strings in index
+order for the inverse map; `string_of` unpacks on demand and returns
+plain ints.  At width 1 a `bytes` argument is its own packed form, so
+looking it up takes one dict lookup.  Any other argument is made a
+tuple, then packed, by `bytes()` at width 1 and by a `struct.Struct`
+cached per length at wider widths; a symbol that does not pack sends the
+string through the symbol check, which takes `6.0` as `6` and refuses
+`6.5`, negatives and symbols too wide.  The trie registers one
 accounting block.  Strings cannot be deleted: removal would punch holes
 in the dense numbering.
 """
 
 import struct
+from functools import lru_cache
 
 from . import wire
 from .accounting import Container
@@ -22,28 +32,49 @@ _STRING_BYTES = 24  # dict entry and list slot of one string; its symbols add sy
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
+@lru_cache(maxsize=128)
+def _layout(code: str, length: int) -> struct.Struct:
+    """The packed form of `length` big-endian symbols of struct type `code`."""
+    return struct.Struct(">%d%s" % (length, code))
+
+
+def _packer(symbol_width: int):
+    """The function from a tuple of ints to its packed form: bytes() at width 1, a cached Struct above."""
+    if symbol_width == 1:
+        return bytes  # only ever given a tuple: bytes(5) would be five zero bytes
+    code = _STRUCT_CODES[symbol_width]
+    return lambda string: _layout(code, len(string)).pack(*string)
+
+
 class Trie(Container):
     """Interns symbol sequences as consecutive unsigned integers."""
 
-    __slots__ = ("symbol_width", "_index", "_strings", "_symbol_count")
+    __slots__ = ("symbol_width", "_index", "_keys", "_key_bytes", "_key_type", "_pack")
 
     def __init__(self, symbol_width: int = 4):
         if symbol_width not in (1, 2, 4, 8):
             raise DomainFault("symbol_width must be 1, 2, 4, or 8, got %r" % symbol_width)
         self.symbol_width = symbol_width
-        self._index: dict[tuple[int, ...], int] = {}
-        self._strings: list[tuple[int, ...]] = []
-        self._symbol_count = 0
+        self._index: dict[bytes, int] = {}
+        self._keys: list[bytes] = []
+        self._key_bytes = 0  # symbol_width per symbol held
+        self._key_type = bytes if symbol_width == 1 else None  # the argument type that is its own key
+        self._pack = _packer(symbol_width)
         super().__init__(self._payload())
 
     def _payload(self) -> int:
-        return _STRING_BYTES * len(self._strings) + self.symbol_width * self._symbol_count
+        return _STRING_BYTES * len(self._keys) + self._key_bytes
+
+    def _key(self, symbols) -> bytes:
+        """The packed form of `symbols`, any iterable of integral symbols."""
+        string = tuple(symbols)
+        try:
+            return self._pack(string)
+        except (TypeError, ValueError, struct.error):
+            return self._pack(self._checked(string))
 
     def _checked(self, string: tuple) -> tuple[int, ...]:
-        """Return `string` as plain ints; RangeFault on the first symbol that does not fit.
-
-        Only strings that missed the dict need this: a stored string holds no bad symbol.
-        """
+        """Return `string` as plain ints; RangeFault on the first symbol that does not fit."""
         width = self.symbol_width
         try:
             for symbol in string:
@@ -57,66 +88,65 @@ class Trie(Container):
         return tuple(map(int, string))
 
     def __len__(self) -> int:
-        return len(self._strings)
+        return len(self._keys)
 
     def index_of(self, symbols) -> int:
         """Return the index of the sequence, interning it if new."""
-        string = tuple(symbols)
-        index = self._index.get(string)
+        if type(symbols) is not self._key_type:
+            symbols = self._key(symbols)
+        index = self._index.get(symbols)
         if index is None:
-            string = self._checked(string)
-            index = self._index[string] = len(self._strings)
-            self._strings.append(string)
-            self._symbol_count += len(string)
+            index = self._index[symbols] = len(self._keys)
+            self._keys.append(symbols)
+            self._key_bytes += len(symbols)
             self._resize(self._payload())
         return index
 
     def find(self, symbols) -> int | None:
         """Return the sequence's index if already interned, else None."""
-        string = tuple(symbols)
-        index = self._index.get(string)
-        if index is None:
-            self._checked(string)
-        return index
+        if type(symbols) is not self._key_type:
+            symbols = self._key(symbols)
+        return self._index.get(symbols)
 
     def string_of(self, index: int) -> tuple[int, ...]:
         """Return the exact sequence that was assigned `index`."""
-        if not 0 <= index < len(self._strings):
-            raise RangeFault("index %d out of range for %d strings" % (index, len(self._strings)))
-        return self._strings[index]
+        if not 0 <= index < len(self._keys):
+            raise RangeFault("index %d out of range for %d strings" % (index, len(self._keys)))
+        key, width = self._keys[index], self.symbol_width
+        if width == 1:
+            return tuple(key)
+        return _layout(_STRUCT_CODES[width], len(key) // width).unpack(key)
 
     def write(self, stream) -> None:
         """Write the string count, then each interned string in index order.
 
         Each string is one run of records (`wire.write_records`): its
         8-byte length, then its symbols, each `symbol_width` bytes, all
-        big-endian.
+        big-endian, which is the packed string as stored.
         """
-        code = _STRUCT_CODES[self.symbol_width]
+        width = self.symbol_width
         write_records = wire.write_records
-        wire.write_uint(stream, len(self._strings), 8)
-        for string in self._strings:
-            write_records(stream, len(string), struct.pack(">%d%s" % (len(string), code), *string))
+        wire.write_uint(stream, len(self._keys), 8)
+        for key in self._keys:
+            write_records(stream, len(key) // width, key)
 
     @classmethod
     def read(cls, stream, symbol_width: int) -> "Trie":
         """Inverse of write: re-intern every string in index order."""
         trie = cls(symbol_width)
-        code = _STRUCT_CODES[symbol_width]
-        index, strings = trie._index, trie._strings
+        index, keys = trie._index, trie._keys
         read_records = wire.read_records
         with trie._destroy_on_error():
             count = wire.read_uint(stream, 8)
             for expected in range(count):
-                length, raw = read_records(stream, symbol_width)
-                string = struct.unpack(">%d%s" % (length, code), raw)
-                assigned = index.setdefault(string, expected)
+                raw = read_records(stream, symbol_width)[1]
+                assigned = index.setdefault(raw, expected)
                 if assigned != expected:
                     raise DecodeFault(
                         "duplicate string in stream: index %d re-assigned as %d"
                         % (expected, assigned)
                     )
-                strings.append(string)
-            trie._symbol_count = sum(map(len, strings))
+                keys.append(raw)
+            trie._key_bytes = sum(map(len, keys))
             trie._resize(trie._payload())
         return trie

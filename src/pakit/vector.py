@@ -35,8 +35,8 @@ class Vector(Container):
         # copies one element into bytes and holds no export of _buf after the call
         self._element_from = struct.Struct("%ds" % element_size).unpack_from
         super().__init__()
-        for element in elements:
-            self.append(element)
+        with self._destroy_on_error():
+            self.extend(elements)
 
     def __len__(self) -> int:
         return len(self._buf) // self.element_size
@@ -61,7 +61,17 @@ class Vector(Container):
         self._buf[offset : offset + self.element_size] = element
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+        return self._elements(len(self._buf))
+
+    def _elements(self, size: int):
+        element_from = self._element_from
+        for offset in range(0, size, self.element_size):
+            if len(self._buf) != size:
+                raise ContractFault("Vector changed size during iteration")
+            (element,) = element_from(self._buf, offset)
+            yield element
+        if len(self._buf) != size:  # a change after the last element
+            raise ContractFault("Vector changed size during iteration")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vector):
@@ -72,6 +82,17 @@ class Vector(Container):
         if type(element) is not bytes or len(element) != self.element_size:
             element = self._check_size(element, self.element_size, "element")
         self._buf += element
+        self._resize(len(self._buf))
+
+    def extend(self, elements) -> None:
+        """Append every element, checked as `append` checks it; all or nothing, one resize."""
+        size = self.element_size
+        checked = [
+            element if type(element) is bytes and len(element) == size
+            else self._check_size(element, size, "element")
+            for element in elements
+        ]
+        self._buf += b"".join(checked)
         self._resize(len(self._buf))
 
     def insert(self, position: int, element) -> None:

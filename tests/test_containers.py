@@ -114,6 +114,61 @@ def test_destroy_mid_iteration_faults_at_the_next_step(name):
         next(entries)
 
 
+def test_table_that_grows_mid_iteration_faults_at_the_next_step():
+    table = _filled(CompactTable(1, 0), [(b"b", b""), (b"c", b""), (b"d", b"")])
+    entries = table.items()
+    assert next(entries) == (b"b", b"")
+    table.insert(b"a", b"")  # shifts every pair: the rest would give b again and never d
+    with pytest.raises(ContractFault, match="CompactTable changed size during iteration"):
+        next(entries)
+    table.destroy()
+
+
+def test_vector_that_grows_mid_iteration_faults_at_the_next_step():
+    vector = Vector(1, [b"x", b"y"])
+    elements = iter(vector)
+    assert next(elements) == b"x"
+    vector.insert(0, b"w")  # shifts every element: the rest would give x again and never y
+    with pytest.raises(ContractFault, match="Vector changed size during iteration"):
+        next(elements)
+    vector.destroy()
+
+
+# name: (make a container of one entry, start iterating, change its size, write in place)
+RESIZED = {
+    "Vector": (lambda: Vector(1, [b"a"]), iter, lambda c: c.append(b"b"), lambda c: c.__setitem__(0, b"z")),
+    "CompactTable": (
+        lambda: _filled(CompactTable(1, 1), [(b"a", b"1")]),
+        lambda c: c.items(),
+        lambda c: c.delete(b"a"),
+        lambda c: c.insert(b"a", b"2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RESIZED)
+def test_size_change_after_the_last_entry_faults(name):
+    make, iterate, resize, _ = RESIZED[name]
+    container = make()
+    entries = iterate(container)
+    next(entries)
+    resize(container)
+    with pytest.raises(ContractFault, match="changed size during iteration"):
+        next(entries)
+    container.destroy()
+
+
+@pytest.mark.parametrize("name", RESIZED)
+def test_write_in_place_mid_iteration_does_not_fault(name):
+    make, iterate, _, write = RESIZED[name]
+    container = make()
+    entries = iterate(container)
+    next(entries)
+    write(container)
+    assert list(entries) == []
+    container.destroy()
+
+
 def _vector():
     return Vector(3, [b"abc"])
 

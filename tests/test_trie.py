@@ -1,6 +1,7 @@
 import hashlib
 import random
 import struct
+import sys
 import tracemalloc
 from array import array
 from io import BytesIO
@@ -272,6 +273,90 @@ def test_interned_strings_stay_small_in_real_bytes():
     assert len(t) == 9_698
     t.destroy()
     assert live < 2_500_000
+
+
+@pytest.mark.parametrize(
+    "form",
+    [bytes, bytearray, memoryview, list, tuple, lambda b: (symbol for symbol in b)],
+    ids=["bytes", "bytearray", "memoryview", "list", "tuple", "generator"],
+)
+def test_every_form_of_one_string_is_one_key(form):
+    t = Trie(1)
+    assert t.index_of(b"\x00ab") == 0
+    assert t.index_of(form(b"\x00ab")) == 0
+    assert t.find(form(b"\x00ab")) == 0
+    assert t.index_of(form(b"ab")) == 1
+    assert t.find(b"ab") == 1
+    assert len(t) == 2
+    t.destroy()
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_an_int_is_not_a_string(width):
+    # bytes(5) is five zero bytes; the trie must never read an int as that
+    blocks_before, bytes_before = accounting.totals()
+    t = Trie(width)
+    for call in (t.index_of, t.find):
+        with pytest.raises(TypeError):
+            call(5)
+    assert len(t) == 0
+    assert t.find([0] * 5) is None
+    assert accounting.totals() == (blocks_before + 1, bytes_before + 48)
+    t.destroy()
+
+
+@pytest.mark.parametrize("width", [2, 4, 8])
+def test_bytes_at_a_wider_width_are_symbols(width):
+    t = Trie(width)
+    assert t.index_of(b"ab") == 0
+    assert t.string_of(0) == (97, 98)
+    assert t.find((97, 98)) == 0
+    assert t.find(bytes([0] * (width - 1) + [97])) is None  # not read as one packed symbol
+    stream = BytesIO()
+    t.write(stream)
+    assert stream.getvalue() == struct.pack(">QQ", 1, 2) + (97).to_bytes(width, "big") + (98).to_bytes(width, "big")
+    t.destroy()
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_read_rejects_a_repeated_string_at_every_width(width):
+    def string(*symbols):
+        return struct.pack(">Q", len(symbols)) + b"".join(s.to_bytes(width, "big") for s in symbols)
+
+    before = accounting.totals()
+    stream = BytesIO(struct.pack(">Q", 3) + string(5, 1) + string(2) + string(5, 1))
+    with pytest.raises(DecodeFault, match="index 2 re-assigned as 0"):
+        Trie.read(stream, symbol_width=width)
+    assert accounting.totals() == before
+
+
+def test_a_bytes_hit_at_width_1_takes_no_nested_frame_and_no_tuple():
+    t = Trie(1)
+    t.index_of(b"ab")
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frames.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        index, found = t.index_of(b"ab"), t.find(b"ab")
+    finally:
+        sys.setprofile(None)
+    assert (index, found) == (0, 0)
+    assert frames == ["index_of", "find"]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        t.index_of(b"ab")
+        t.find(b"ab")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak == base  # no tuple built, not even for a moment
+    t.destroy()
 
 
 def _outcome(call):

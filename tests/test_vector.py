@@ -223,3 +223,49 @@ def test_use_after_destroy_faults():
     v.destroy()
     with pytest.raises(ContractFault):
         v.append(b"\x01")
+
+
+def test_extend_matches_an_append_loop():
+    rng = random.Random(44)
+    elements = [bytes(rng.randrange(256) for _ in range(3)) for _ in range(100)]
+    before = accounting.totals()
+    appended = Vector(3)
+    for element in elements:
+        appended.append(element)
+    grown = accounting.totals()[1] - before[1]
+    extended = Vector(3)
+    extended.extend(elements[:40])
+    extended.extend(iter([bytearray(e) for e in elements[40:70]]))
+    extended.extend(memoryview(e) for e in elements[70:])
+    assert extended == appended
+    assert accounting.totals()[1] - before[1] == 2 * grown
+    built = Vector(3, elements)
+    assert built == appended
+    assert accounting.totals()[1] - before[1] == 3 * grown
+    for v in (appended, extended, built):
+        v.destroy()
+
+
+@pytest.mark.parametrize("bad", [b"\x01\x02", 7, "abc"], ids=["short", "int", "str"])
+def test_extend_is_all_or_nothing(bad):
+    v = make([1, 2])
+    before = accounting.totals()
+    with pytest.raises(ContractFault):
+        v.extend([b"\x03", bad, b"\x04"])
+    assert contents(v) == [1, 2]
+    assert accounting.totals() == before
+    v.destroy()
+
+
+def test_failed_build_leaks_nothing():
+    before = accounting.totals()
+    with pytest.raises(ContractFault, match="must be bytes-like"):
+        Vector(1, [b"a", 98])
+    assert accounting.totals() == before
+
+
+def test_extend_with_itself_doubles_it():
+    v = make([1, 2])
+    v.extend(v)
+    assert contents(v) == [1, 2, 1, 2]
+    v.destroy()
