@@ -1,8 +1,12 @@
 """Hash-table toolkit: open addressing with double hashing and tombstones.
 
 A HashSpec bundles the key operations (two independent hash functions
-and an equality test); HashTable stores all entries in one slot array of
-power-of-two capacity.  The probe sequence for a key is
+and an equality test).  HashTable keeps its entries in two parallel
+columns of power-of-two capacity, keys and data, as in KenLM's flat
+probing tables (Heafield 2011): the key column also holds the empty
+(None) and tombstone markers, and a bytearray occupancy map is 1
+exactly at the live slots, so a count writes one datum cell and builds
+no (key, datum) tuple.  The probe sequence for a key is
 
     slot(i) = (hash1(key) + i * step) mod capacity,   step = hash2(key) | 1
 
@@ -24,6 +28,7 @@ byte strings (embedded zero bytes are fine).
 """
 
 import operator
+from itertools import compress
 from typing import Callable, NamedTuple, Optional
 
 from .accounting import Container
@@ -92,8 +97,8 @@ def string_spec() -> HashSpec:
     return HashSpec(key_size=None, hash1=fnv1a_64, hash2=djb2_64, key_equal=operator.eq)
 
 
-class _Tombstone(tuple):
-    """The empty tuple's falsiness, in C: filter(None, slots) skips it as it skips None."""
+class _Tombstone:
+    """Marks a removed key in the key column, so probe chains stay intact."""
 
     __slots__ = ()
 
@@ -110,8 +115,8 @@ class HashTable(Container):
     """Open-addressing <key, datum> table driven by a HashSpec."""
 
     __slots__ = (
-        "_spec", "_hash1", "_hash2", "_key_equal", "_slots", "_live", "_tombstones", "_mods",
-        "_hint",
+        "_spec", "_hash1", "_hash2", "_key_equal", "_keys", "_data", "_live_map", "_mask", "_limit",
+        "_live", "_tombstones", "_mods", "_hint",
     )
 
     def __init__(self, spec: HashSpec, initial_capacity: int = 8):
@@ -119,12 +124,20 @@ class HashTable(Container):
             raise DomainFault("capacity must be a power of two, got %d" % initial_capacity)
         self._spec = spec
         self._hash1, self._hash2, self._key_equal = spec.hash1, spec.hash2, spec.key_equal
-        self._slots = [None] * initial_capacity
+        self._build(initial_capacity)
         self._live = 0
         self._tombstones = 0
         self._mods = 0
         self._hint = _NO_HINT
         super().__init__(self._slot_bytes * initial_capacity)
+
+    def _build(self, capacity: int) -> None:
+        """Empty columns of `capacity` slots, with the mask and growth limit they imply."""
+        self._keys = [None] * capacity
+        self._data = [None] * capacity
+        self._live_map = bytearray(capacity)
+        self._mask = capacity - 1
+        self._limit = MAX_LOAD * capacity
 
     @property
     def spec(self) -> HashSpec:
@@ -135,12 +148,18 @@ class HashTable(Container):
     def _slot_bytes(self) -> int:
         return (self._spec.key_size if self._spec.key_size is not None else 16) + 8
 
+    @property
+    def _slots(self) -> list:
+        """The columns as one slot list: None, the tombstone, or a live (key, datum) pair."""
+        return [(key, datum) if live else key
+                for key, datum, live in zip(self._keys, self._data, self._live_map)]
+
     def __len__(self) -> int:
         return self._live
 
     @property
     def capacity(self) -> int:
-        return len(self._slots)
+        return self._mask + 1
 
     @property
     def tombstone_count(self) -> int:
@@ -152,50 +171,63 @@ class HashTable(Container):
         When key is absent, the free slot is the probe path's first tombstone, else the
         empty slot that ends the path.
         """
-        slots = self._slots
-        mask = len(slots) - 1
+        keys = self._keys
+        mask = self._mask
         index = self._hash1(key) & mask
-        entry = slots[index]
-        if entry is None:
+        other = keys[index]
+        if other is None:
             return -1, index
-        if entry is not _TOMBSTONE and self._key_equal(entry[0], key):
+        if other is not _TOMBSTONE and self._key_equal(other, key):
             return index, index
-        free = index if entry is _TOMBSTONE else -1
+        free = index if other is _TOMBSTONE else -1
         step = self._hash2(key) | 1
         while True:
             index = (index + step) & mask
-            entry = slots[index]
-            if entry is None:
+            other = keys[index]
+            if other is None:
                 return -1, index if free < 0 else free
-            if entry is _TOMBSTONE:
+            if other is _TOMBSTONE:
                 if free < 0:
                     free = index
-            elif self._key_equal(entry[0], key):
+            elif self._key_equal(other, key):
                 return index, free
 
     def _rehash(self, new_capacity: int) -> None:
-        entries = list(filter(None, self._slots))
-        self._slots = slots = [None] * new_capacity
+        entries = compress(zip(self._keys, self._data), self._live_map)  # over the old columns
+        self._build(new_capacity)
         self._tombstones = 0
         self._mods += 1
-        for entry in entries:  # old-slot order, into a table with no tombstones
-            slots[self._probe(entry[0])[1]] = entry
+        keys, data, live_map = self._keys, self._data, self._live_map
+        for key, datum in entries:  # old-slot order, into a table with no tombstones
+            free = self._probe(key)[1]
+            keys[free] = key
+            data[free] = datum
+            live_map[free] = 1
         self._resize(self._slot_bytes * new_capacity)
 
     def insert(self, key, datum) -> bool:
-        """Map key to datum; returns True if an existing datum was replaced."""
-        if (self._live + self._tombstones + 1) > MAX_LOAD * len(self._slots):
-            self._rehash(len(self._slots) * (1 if self._tombstones > self._live else 2))
+        """Map key to datum; returns True if an existing datum was replaced.
+
+        A replace keeps the stored key, as `dict` does.
+        """
+        if self._live + self._tombstones + 1 > self._limit:
+            self._rehash((self._mask + 1) * (1 if self._tombstones > self._live else 2))
         hint_key, mods, found, free = self._hint
         if mods != self._mods or (hint_key is not key and not self._key_equal(hint_key, key)):
             found, free = self._probe(key)
-        self._mods += 1
         if found >= 0:
-            self._slots[found] = (key, datum)
+            self._mods += 1
+            self._data[found] = datum
             return True
-        if self._slots[free] is _TOMBSTONE:
+        if key is None:  # None marks an empty slot in the key column
+            raise DomainFault("a HashTable key cannot be None")
+        self._mods += 1
+        keys = self._keys
+        if keys[free] is _TOMBSTONE:
             self._tombstones -= 1
-        self._slots[free] = (key, datum)
+        keys[free] = key
+        self._data[free] = datum
+        self._live_map[free] = 1
         self._live += 1
         return False
 
@@ -203,7 +235,7 @@ class HashTable(Container):
         """Return the datum mapped to key, or `default` when absent."""
         found, free = self._probe(key)
         self._hint = (key, self._mods, found, free)
-        return default if found < 0 else self._slots[found][1]
+        return default if found < 0 else self._data[found]
 
     def __contains__(self, key) -> bool:
         return self.find(key, _ABSENT) is not _ABSENT
@@ -213,12 +245,14 @@ class HashTable(Container):
         found = self._probe(key)[0]
         if found < 0:
             return False
-        self._slots[found] = _TOMBSTONE
+        self._keys[found] = _TOMBSTONE
+        self._data[found] = None
+        self._live_map[found] = 0
         self._live -= 1
         self._tombstones += 1
         self._mods += 1
         if self._tombstones > self._live:
-            self._rehash(len(self._slots))
+            self._rehash(self._mask + 1)
         return True
 
     def items(self):
@@ -226,7 +260,7 @@ class HashTable(Container):
         return self._live_entries(self._mods)
 
     def _live_entries(self, mods: int):
-        for entry in filter(None, self._slots):
+        for entry in compress(zip(self._keys, self._data), self._live_map):
             if mods != self._mods:
                 raise ContractFault("HashTable mutated during iteration")
             yield entry

@@ -51,7 +51,8 @@ class UnigramTable(Container):
 
     def increment(self, symbol: int, by: int = 1) -> None:
         """Add `by` to the symbol's counter, widening the array if needed."""
-        self._check_symbol(symbol)
+        if not 0 <= symbol < self.alphabet_size:
+            self._check_symbol(symbol)  # raises
         if by < 1:
             raise DomainFault("increment must be >= 1, got %d" % by)
         new_count = self._counters.item(symbol) + by

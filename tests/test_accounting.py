@@ -94,6 +94,15 @@ def test_resize_after_release_faults():
         reg.resize(token, 8)
 
 
+def test_resize_after_release_leaves_the_lock_free():
+    reg = AccountingRegistry()
+    token = reg.register(4)
+    reg.release(token)
+    with pytest.raises(ContractFault):
+        reg.resize(token, 8)
+    assert reg._lock.locked() is False
+
+
 def test_negative_sizes_fault():
     reg = AccountingRegistry()
     with pytest.raises(DomainFault):

@@ -289,6 +289,28 @@ def test_spec_is_caller_extensible():
     t.destroy()
 
 
+def test_replace_keeps_the_stored_key():
+    # as dict does: the datum changes, the key object first inserted stays
+    spec = HashSpec(key_size=None, hash1=lambda s: fnv1a_64(s.lower().encode()),
+                    hash2=lambda s: 1, key_equal=lambda a, b: a.lower() == b.lower())
+    t = HashTable(spec)
+    t.insert("Key", 1)
+    t.insert("KEY", 2)
+    assert list(t.items()) == [("Key", 2)]
+    t.destroy()
+
+
+def test_none_key_is_refused_and_changes_nothing():
+    # None marks an empty slot in the key column
+    spec = HashSpec(key_size=8, hash1=lambda k: 0, hash2=lambda k: 1, key_equal=operator.eq)
+    t = HashTable(spec)
+    t.insert(1, 10)
+    with pytest.raises(DomainFault):
+        t.insert(None, 5)
+    assert (len(t), list(t.items()), t.find(None, -1)) == (1, [(1, 10)], -1)
+    t.destroy()
+
+
 def test_spec_is_read_only():
     spec = symbol_spec()
     t = HashTable(spec)
@@ -448,9 +470,10 @@ colliding_spec = HashSpec(
     key_size=8, hash1=lambda k: k % 3, hash2=lambda k: k // 3, key_equal=operator.eq
 )
 
+# key id 0 is a falsy key (0, b""), so liveness never rests on a key's truth value
 ORACLE_SPECS = {
-    "symbol": (symbol_spec(), lambda i: i << 32 | 7, lambda k: int(str(k))),
-    "string": (string_spec(), lambda i: b"w%d" % i, lambda k: bytes(bytearray(k))),
+    "symbol": (symbol_spec(), lambda i: i << 32 | 7 if i else 0, lambda k: int(str(k))),
+    "string": (string_spec(), lambda i: b"w%d" % i if i else b"", lambda k: bytes(bytearray(k))),
     "colliding": (colliding_spec, lambda i: i + 1000, lambda k: int(str(k))),
 }
 
