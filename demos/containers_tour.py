@@ -16,7 +16,7 @@ joined = v.concat(other)
 print("concat:  ", list(joined), "(originals untouched:", len(v), "+", len(other), "elements)")
 
 print()
-print("== CompactTable: sorted pair array, one binary search per lookup ==")
+print("== CompactTable: sorted pair array; a lookup bisects fence keys, then scans one block ==")
 table = CompactTable(key_size=4, datum_size=8)
 for name, value in ((b"mass", 42), (b"reps", 3), (b"nose", 7)):
     table.insert(name, value.to_bytes(8, "big"))

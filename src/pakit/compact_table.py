@@ -9,18 +9,31 @@ which suits tables that are built once and then only read.
 
 Keys and data are opaque fixed-size byte blocks.  The default key order
 is lexicographic, which for big-endian fixed-width unsigned integers
-coincides with numeric order.  Under that order the binary search, and
-the order check when a table is read, run in numpy on a zero-copy view
-of the same pair buffer (key field `S<key_size>`, datum field
-`V<datum_size>`); a caller-supplied `key_compare` is searched in Python.
-The view is cached between lookups and dropped before every resize of
-the buffer, which a live view would block.  Lookup, insert and delete
-share the one search helper, `_search`, which reads the cached view
-inline, so a lookup of exact `bytes` with the view cached takes two
-Python frames.
+coincides with numeric order; a caller-supplied `key_compare` is
+searched in Python.
+
+A lookup under the default order makes no numpy call once the table
+has been looked up twice at its current size.  It bisects a cached list
+of fence keys, every FENCE_STRIDE-th key as exact `bytes` (a sparse
+index over the sorted run, as in the fence keys of a B-tree), to find
+the key's block, then runs one `bytearray.find` over that block's pairs,
+passing over any match off a pair boundary (across two pairs or inside
+a datum).  The fences are built on the second lookup after a size
+change and dropped by every insert of a new key and every delete, so a
+loop that inserts and looks up keeps to the plain search.  They are a
+cache derived from the pairs and are not accounted.
+
+The plain search, `_search`, serves insert, delete, tables with a
+`key_compare` and the first lookup after a size change.  Under the
+default order it runs numpy's `searchsorted` on a zero-copy view of the
+pair buffer (key field `S<key_size>`, datum field `V<datum_size>`), as
+does the order check when a table is read.  That view is cached too and
+dropped before every resize of the buffer, which a live view would
+block.
 """
 
 import struct
+from bisect import bisect_right
 
 import numpy as np
 
@@ -28,13 +41,15 @@ from . import wire
 from .accounting import Container
 from .errors import ContractFault, DecodeFault, DomainFault, RangeFault
 
+FENCE_STRIDE = 32  # pairs per fence block
+
 
 class CompactTable(Container):
     """Sorted (key, datum) table over fixed-size byte blocks."""
 
     __slots__ = (
         "key_size", "datum_size", "key_compare", "_pairs", "_count", "_keys",
-        "_key_from", "_datum_from", "_pair_from",
+        "_fences", "_fence_span", "_key_from", "_datum_from", "_pair_from",
     )
 
     def __init__(self, key_size: int, datum_size: int, key_compare=None):
@@ -48,6 +63,10 @@ class CompactTable(Container):
         self._pairs = bytearray()
         self._count = 0
         self._keys = None  # cached key-field view of _pairs; None whenever _pairs may resize
+        # None until a lookup at the current size, then False until the
+        # next builds the fence list; key_compare tables stay at False
+        self._fences = None
+        self._fence_span = FENCE_STRIDE * (key_size + datum_size)  # bytes per fence block
         # slice readers that copy once into bytes and hold no export of _pairs after the call
         self._key_from = struct.Struct("%ds" % key_size).unpack_from
         self._datum_from = struct.Struct("%ds" % datum_size).unpack_from
@@ -71,6 +90,18 @@ class CompactTable(Container):
             else:
                 self._keys = np.frombuffer(self._pairs, dtype="S%d" % self.key_size)
         return self._keys
+
+    def _fence_keys(self) -> list:
+        """Every FENCE_STRIDE-th key of _pairs as exact bytes, the first key first.
+
+        Read through a `V<key_size>` view, which keeps trailing NUL bytes
+        that an `S` value would drop.
+        """
+        fences = np.ndarray(
+            (-(-self._count // FENCE_STRIDE),), dtype="V%d" % self.key_size,
+            buffer=self._pairs, strides=(self._fence_span,),
+        )
+        return fences.tolist()
 
     def _search(self, key: bytes) -> tuple[bool, int]:
         """Binary search: (True, rank) if present, else (False, insertion rank)."""
@@ -100,6 +131,24 @@ class CompactTable(Container):
         key_size = self.key_size
         if type(key) is not bytes or len(key) != key_size:
             key = self._check_size(key, key_size, "key")
+        fences = self._fences
+        if fences:  # kept inline, so a lookup is one Python frame
+            span = self._fence_span
+            start = (bisect_right(fences, key) - 1) * span
+            if start < 0:  # below the first key
+                return None
+            pairs, pair_size = self._pairs, key_size + self.datum_size
+            at = pairs.find(key, start, start + span)
+            while at % pair_size and at >= 0:  # a match off a pair boundary is no key
+                at = pairs.find(key, at + 1, start + span)
+            if at < 0:
+                return None
+            (datum,) = self._datum_from(pairs, at + key_size)
+            return datum
+        if fences is None:
+            self._fences = False
+        elif fences is False and self.key_compare is None:
+            self._fences = self._fence_keys()
         found, rank = self._search(key)
         if not found:
             return None
@@ -119,7 +168,7 @@ class CompactTable(Container):
         if found:
             self._pairs[offset + self.key_size : offset + pair_size] = datum
             return True
-        self._keys = None
+        self._keys = self._fences = None
         self._pairs[offset:offset] = key + datum
         self._count += 1
         self._resize(len(self._pairs))
@@ -132,7 +181,7 @@ class CompactTable(Container):
             return False
         pair_size = self.key_size + self.datum_size
         offset = rank * pair_size
-        self._keys = None
+        self._keys = self._fences = None
         del self._pairs[offset : offset + pair_size]
         self._count -= 1
         self._resize(len(self._pairs))

@@ -27,6 +27,8 @@ from typing import Callable, NamedTuple
 from . import balanced, fixedlog, logpr
 from .errors import DomainFault
 
+_ROUND = balanced._ROUND
+
 
 class PrBackend(NamedTuple):
     """One representation's constants and operations, under the module's probability rule."""
@@ -111,9 +113,16 @@ def logpr_backend() -> PrBackend:
 
 
 def _balanced_from_real(p):
+    """balanced._canonical(p, 0) in one frame; on [0, 1] the exponent stays in range."""
     if not 0.0 <= p <= 1.0:
         raise DomainFault("probability %r outside [0, 1]" % (p,))
-    return balanced._canonical(p, 0)
+    if p == 0.0:
+        return (0.0, 0)
+    m, exp = math.frexp(p)
+    m = (m + _ROUND) - _ROUND  # balanced._rounded, inlined
+    if m == 1.0:  # rounding crossed the top of the binade
+        return (0.5, exp + 1)
+    return (m, exp)
 
 
 def _balanced_to_real(b):

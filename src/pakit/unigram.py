@@ -7,17 +7,27 @@ the whole array and is invisible except through the memory footprint,
 so a skewed stream whose largest count stays below 256 costs exactly
 one byte per symbol.  The running total is kept in 64 bits for O(1)
 normalization.
+
+The counters are a stdlib `array` whose unsigned typecode has exactly
+the counter width, so `increment` is one indexed add that widens only
+when the array raises `OverflowError`, and `count` is one index: neither
+makes a numpy call.  The stream holds the counters big-endian whatever
+the host's byte order.
 """
 
-import numpy as np
+import sys
+from array import array
 
 from . import wire
 from .accounting import Container
 from .errors import DecodeFault, DomainFault, OverflowFault, RangeFault
 
-_WIDTH_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 _WIDTHS = (1, 2, 4, 8)
+# width -> an unsigned typecode of that itemsize, chosen by size since 'L'
+# is 4 or 8 bytes by platform; a later code takes the width over
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 _MAX_COUNT = (1 << 64) - 1
+_SWAP = sys.byteorder == "little"  # the stream is big-endian
 
 
 class UnigramTable(Container):
@@ -30,7 +40,7 @@ class UnigramTable(Container):
             raise DomainFault("alphabet_size must be >= 1, got %d" % alphabet_size)
         self.alphabet_size = alphabet_size
         self._width = 1
-        self._counters = np.zeros(alphabet_size, dtype=np.uint8)
+        self._counters = array(_TYPECODES[1], bytes(alphabet_size))
         self._total = 0
         super().__init__(alphabet_size)
 
@@ -41,7 +51,7 @@ class UnigramTable(Container):
             )
 
     def _widen_to(self, width: int) -> None:
-        self._counters = self._counters.astype(_WIDTH_DTYPES[width])
+        self._counters = array(_TYPECODES[width], self._counters)
         self._width = width
         self._resize(self.alphabet_size * width)
 
@@ -55,18 +65,21 @@ class UnigramTable(Container):
             self._check_symbol(symbol)  # raises
         if by < 1:
             raise DomainFault("increment must be >= 1, got %d" % by)
-        new_count = self._counters.item(symbol) + by
-        if new_count > _MAX_COUNT:
-            raise OverflowFault("counter for symbol %d exceeds 64 bits" % symbol)
-        while new_count >> (8 * self._width):
-            self._widen_to(_WIDTHS[_WIDTHS.index(self._width) + 1])
-        self._counters[symbol] = new_count
+        try:
+            self._counters[symbol] += by
+        except OverflowError:  # the counter left the width; the array is unchanged
+            new_count = self._counters[symbol] + by
+            if new_count > _MAX_COUNT:
+                raise OverflowFault("counter for symbol %d exceeds 64 bits" % symbol) from None
+            while new_count >> (8 * self._width):
+                self._widen_to(_WIDTHS[_WIDTHS.index(self._width) + 1])
+            self._counters[symbol] = new_count
         self._total += by
 
     def count(self, symbol: int) -> int:
         """Exact frequency of `symbol`, independent of the current width."""
         if 0 <= symbol < self.alphabet_size:
-            return self._counters.item(symbol)
+            return self._counters[symbol]
         self._check_symbol(symbol)  # raises
 
     def total(self) -> int:
@@ -77,7 +90,11 @@ class UnigramTable(Container):
         """Format: alphabet_size (8 bytes), counter width (1), big-endian counters."""
         wire.write_uint(stream, self.alphabet_size, 8)
         wire.write_uint(stream, self._width, 1)
-        stream.write(self._counters.astype(">u%d" % self._width).tobytes())
+        counters = self._counters
+        if _SWAP:
+            counters = counters[:]
+            counters.byteswap()
+        stream.write(counters.tobytes())
 
     @classmethod
     def read(cls, stream) -> "UnigramTable":
@@ -90,9 +107,13 @@ class UnigramTable(Container):
             raise DecodeFault("invalid counter width %d" % width)
         raw = wire.read_exact(stream, alphabet_size * width)  # before any registration
         table = cls(alphabet_size)
-        table._counters = np.frombuffer(raw, dtype=">u%d" % width).astype(_WIDTH_DTYPES[width])
+        counters = array(_TYPECODES[width])
+        counters.frombytes(raw)
+        if _SWAP:
+            counters.byteswap()
+        table._counters = counters
         table._width = width
-        table._total = sum(table._counters.tolist())
+        table._total = sum(counters)
         table._resize(alphabet_size * width)
         return table
 
@@ -102,5 +123,5 @@ class UnigramTable(Container):
         return (
             self.alphabet_size == other.alphabet_size
             and self._width == other._width
-            and bool(np.array_equal(self._counters, other._counters))
+            and self._counters == other._counters
         )

@@ -1,13 +1,16 @@
 import math
 import random
+import sys
 from io import BytesIO
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pakit import accounting
-from pakit.compact_table import CompactTable
+from pakit.compact_table import FENCE_STRIDE, CompactTable
 from pakit.errors import ContractFault, DecodeFault, RangeFault
+from pakit.unigram import UnigramTable
 
 
 def key4(n):
@@ -301,3 +304,155 @@ def test_matches_dict_reference_model(key_size, datum_size, data):
         assert len(table) == 0
     finally:
         table.destroy()
+
+
+# --- fence-key lookups ------------------------------------------------------
+#
+# A lookup bisects the fence keys (every FENCE_STRIDE-th key) and then
+# searches one block with bytearray.find.  Each datum below repeats the
+# next key's bytes and the probes include every window of the pair bytes,
+# so keys occur inside data and across pair boundaries, and the search
+# must pass over those matches.
+
+FENCE_ALPHABET = bytes([0x01, 0x02, 0x03, 0x04, 0x05, 0x7F])  # 216 keys of 3 bytes
+
+
+def fence_table(key_size, datum_size, seed=7):
+    """A default-order table of 3 full fence blocks plus a partial one, and its reference dict."""
+    rng = random.Random(seed * 100 + key_size * 10 + datum_size)
+    count = 3 * FENCE_STRIDE + 5
+    if key_size == 1:
+        keys = {bytes([k]) for k in rng.sample(range(1, 255), count)}  # 0x00 stays below, 0xff above
+    else:
+        keys = set()
+        while len(keys) < count:
+            keys.add(bytes(rng.choice(FENCE_ALPHABET) for _ in range(key_size)))
+    keys = sorted(keys)
+    reference = {key: (after * datum_size)[:datum_size] for key, after in zip(keys, keys[1:] + keys[:1])}
+    table = CompactTable(key_size, datum_size)
+    for key in rng.sample(keys, count):
+        table.insert(key, reference[key])
+    return table, reference
+
+
+def fence_probes(table, reference):
+    """Every key, every fence, keys below and above all, absent keys between blocks, every window."""
+    key_size, keys = table.key_size, sorted(reference)
+    probes = keys + keys[::FENCE_STRIDE] + [b"\x00" * key_size, b"\xff" * key_size]
+    for rank in range(FENCE_STRIDE, len(keys), FENCE_STRIDE):
+        value = int.from_bytes(keys[rank - 1], "big") + 1
+        if value < int.from_bytes(keys[rank], "big"):  # an absent key between two blocks
+            probes.append(value.to_bytes(key_size, "big"))
+    pairs = b"".join(key + datum for key, datum in table.items())
+    probes += [pairs[at : at + key_size] for at in range(len(pairs) - key_size + 1)]
+    return probes
+
+
+def straddling_matches(table, probes):
+    """Probes whose first match in the pair bytes is not at a pair boundary."""
+    pairs = b"".join(key + datum for key, datum in table.items())
+    pair_size = table.key_size + table.datum_size
+    return [p for p in probes if pairs.find(p) % pair_size and pairs.find(p) >= 0]
+
+
+def check_probes(table, reference, probes):
+    for _ in range(2):
+        for probe in probes:
+            assert table.lookup(probe) == reference.get(probe), probe
+
+
+@pytest.mark.parametrize("key_size", [1, 3, 8])
+@pytest.mark.parametrize("datum_size", [0, 4])
+def test_fence_lookups_match_a_dict(key_size, datum_size):
+    table, reference = fence_table(key_size, datum_size)
+    try:
+        probes = fence_probes(table, reference)
+        straddling = straddling_matches(table, probes)
+        if key_size > 1:  # an absent key found across two pairs
+            assert any(p not in reference for p in straddling)
+        if key_size <= datum_size:  # a key found first inside the datum before it
+            assert any(p in reference for p in straddling)
+        check_probes(table, reference, probes)
+        assert isinstance(table._fences, list)  # the probes ran on the fence path
+        assert len(table._fences) == 4
+        assert table._fences == sorted(reference)[::FENCE_STRIDE]
+    finally:
+        table.destroy()
+
+
+@pytest.mark.parametrize("key_size", [1, 3, 8])
+@pytest.mark.parametrize("datum_size", [0, 4])
+def test_fence_lookups_after_replace_insert_and_delete(key_size, datum_size):
+    table, reference = fence_table(key_size, datum_size, seed=11)
+    keys = sorted(reference)
+    try:
+        probes = fence_probes(table, reference)
+        check_probes(table, reference, probes)
+        fences = table._fences
+        for key in keys[::7]:  # a replace keeps the size, so the fences stay
+            datum = bytes(reversed(reference[key])) or reference[key]
+            assert table.insert(key, datum) is True
+            reference[key] = datum
+        assert table._fences is fences
+        check_probes(table, reference, probes)
+        absent = [p for p in probes if p not in reference]
+        for key in absent[:3]:  # new keys move every later pair
+            assert table.insert(key, bytes(datum_size)) is False
+            reference[key] = bytes(datum_size)
+            assert table._fences is None
+            check_probes(table, reference, probes)
+        for key in keys[FENCE_STRIDE - 2 :: FENCE_STRIDE] + keys[:2]:  # deletes shift fences
+            assert table.delete(key) is True
+            del reference[key]
+            assert table._fences is None
+            check_probes(table, reference, probes)
+        assert list(table.items()) == sorted(reference.items())
+    finally:
+        table.destroy()
+
+
+def test_key_compare_table_never_builds_fences():
+    table = CompactTable(4, 1, key_compare=lexicographic)
+    for n in range(0, 300, 3):
+        table.insert(key4(n), b"d")
+    try:
+        for _ in range(3):
+            for n in range(300):
+                assert table.lookup(key4(n)) == (b"d" if n % 3 == 0 else None)
+        assert table._fences is False
+    finally:
+        table.destroy()
+
+
+def test_a_warmed_lookup_and_a_count_make_no_numpy_call():
+    table = CompactTable(8, 4)
+    unigrams = UnigramTable(16)
+    for n in range(0, 400, 2):
+        table.insert(n.to_bytes(8, "big"), n.to_bytes(4, "big"))
+    unigrams.increment(3, 300)
+    hit, miss = (202).to_bytes(8, "big"), (203).to_bytes(8, "big")
+    for _ in range(2):
+        table.lookup(hit), table.lookup(miss)
+    frames, c_calls = [], []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frames.append(frame.f_code.co_name)
+        elif event == "c_call":
+            c_calls.append(arg)
+
+    sys.setprofile(profile)
+    try:
+        found, absent, count = table.lookup(hit), table.lookup(miss), unigrams.count(3)
+    finally:
+        sys.setprofile(None)
+        table.destroy()
+        unigrams.destroy()
+    into_numpy = [
+        f for f in c_calls
+        if isinstance(getattr(f, "__self__", None), (np.ndarray, np.generic))
+        or (getattr(f, "__module__", None) or "").startswith("numpy")
+    ]
+    assert into_numpy == []
+    assert frames == ["lookup", "lookup", "count"]  # the fence path runs inside lookup
+    assert (found, absent, count) == ((202).to_bytes(4, "big"), None, 300)

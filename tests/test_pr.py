@@ -386,3 +386,23 @@ def test_balanced_view_add_matches_the_module_across_the_align_cutoff(sa, sb, ex
     view = pr.balanced_backend()
     for x, y in ((a, b), (b, a)):
         assert _bits(view.add(x, y)) == _bits(_clamped(balanced.add(_boxed(x), _boxed(y))))
+
+
+# --- balanced from_real in one frame -----------------------------------------
+
+
+def test_balanced_from_real_matches_canonical_bit_for_bit():
+    rng = random.Random(20)
+    values = [
+        0.0, 1.0, 0.5, 5e-324, 2.2250738585072014e-308, 1.0 - 2.0**-53,
+        *(math.ldexp(1.0 - 2.0**-k, -e) for k in (25, 26, 30, 53) for e in (0, 1, 7, 1000, 1021)),
+        *(rng.random() for _ in range(2000)),
+        *(math.ldexp(rng.random(), -rng.randrange(1075)) for _ in range(2000)),
+    ]
+    carries = 0
+    for p in values:
+        got, want = pr._balanced_from_real(p), balanced._canonical(p, 0)
+        assert type(got) is tuple
+        assert _bits(got) == _bits(want), p
+        carries += p > 0.0 and got[1] > math.frexp(p)[1]
+    assert carries >= 21  # 1 - 2**-53 and the 20 values at the top of a binade carry

@@ -1,11 +1,12 @@
 import random
+from array import array
 from io import BytesIO
 
 import pytest
 
 from pakit import accounting
-from pakit.errors import ContractFault, DecodeFault, DomainFault, RangeFault
-from pakit.unigram import UnigramTable
+from pakit.errors import ContractFault, DecodeFault, DomainFault, OverflowFault, RangeFault
+from pakit.unigram import _TYPECODES, UnigramTable
 
 
 def test_fresh_table_is_all_zero():
@@ -197,3 +198,61 @@ def test_read_of_zero_alphabet_is_a_decode_fault():
     stream = BytesIO((0).to_bytes(8, "big") + b"\x01")
     with pytest.raises(DecodeFault):
         UnigramTable.read(stream)
+
+
+# Hand-written streams: alphabet size (8 bytes), width (1), then each
+# counter big-endian, so a write and read that both skipped the byte swap
+# would fail here even though they round-trip.
+GOLDEN_STREAMS = {
+    1: ([1, 0, 255], bytes.fromhex("0000000000000003" "01" "0100ff")),
+    2: ([0x0102, 0, 3], bytes.fromhex("0000000000000003" "02" "0102" "0000" "0003")),
+    4: ([0x01020304, 5, 0], bytes.fromhex("0000000000000003" "04" "01020304" "00000005" "00000000")),
+    8: ([0x0102030405060708, 0, 9], bytes.fromhex("0000000000000003" "08" "0102030405060708" "0000000000000000" "0000000000000009")),
+}
+
+
+@pytest.mark.parametrize("width", sorted(GOLDEN_STREAMS))
+def test_wire_bytes_are_big_endian_counters(width):
+    counts, golden = GOLDEN_STREAMS[width]
+    u = UnigramTable(3)
+    for symbol, count in enumerate(counts):
+        if count:
+            u.increment(symbol, count)
+    stream = BytesIO()
+    u.write(stream)
+    loaded = UnigramTable.read(BytesIO(golden))
+    try:
+        assert stream.getvalue() == golden
+        assert [loaded.count(s) for s in range(3)] == counts
+        assert (loaded.counter_width, loaded.total()) == (width, sum(counts))
+        assert loaded == u
+    finally:
+        u.destroy()
+        loaded.destroy()
+
+
+def test_each_width_has_a_typecode_of_that_size():
+    u = UnigramTable(2)
+    try:
+        for width in (1, 2, 4, 8):
+            assert array(_TYPECODES[width]).itemsize == width
+            u.increment(0, (1 << (8 * width - 1)) - u.count(0))
+            assert u.counter_width == width
+            assert u._counters.itemsize == width
+    finally:
+        u.destroy()
+
+
+@pytest.mark.parametrize("start", [0, 5, 300, 2**40])
+def test_an_increment_past_64_bits_changes_nothing(start):
+    u = UnigramTable(2)
+    if start:
+        u.increment(0, start)
+    width = u.counter_width
+    try:
+        for by in (1 << 64, (1 << 64) - start, 1 << 80):
+            with pytest.raises(OverflowFault, match="exceeds 64 bits"):
+                u.increment(0, by)
+            assert (u.count(0), u.total(), u.counter_width) == (start, start, width)
+    finally:
+        u.destroy()
