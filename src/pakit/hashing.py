@@ -25,6 +25,21 @@ no mutation in between reuses it, so counting with
 Two ready-made specs cover the common cases: symbol_spec() hashes
 fixed-width unsigned integers, string_spec() hashes length-delimited
 byte strings (embedded zero bytes are fine).
+
+symbol_spec hashes a key x as CPython's tuple hash of (x, 0) and of
+(0, x), which runs xxHash's mixing rounds in C (Collet, xxHash) and,
+unlike the str and bytes hashes, is not salted per process, so slot
+layout repeats from run to run.  Each hash then folds its high 32 bits
+into the low ones (h ^ (h >> 32)): the table masks the low bits, and
+without the fold structured keys cluster there (up to 358 probes for
+one find of 45,000 consecutive integers, against 27 with it).  The
+tuple hash reduces an int modulo 2**61 - 1 first, so keys congruent
+modulo that prime share both hashes; below 2**64 that is at most 9 keys
+(8 for most residues), which key_equal still tells apart.
+
+string_spec keeps FNV-1a and djb2 in Python: hash(bytes) is salted per
+process, so it would change slot layout and iteration order between
+runs.
 """
 
 import operator
@@ -57,17 +72,6 @@ def djb2_64(data: bytes) -> int:
     return h
 
 
-def mix64(x: int) -> int:
-    """Finalizing mixer for integer keys (splitmix64 finale)."""
-    x &= _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x
-
-
 class HashSpec(NamedTuple):
     """Key operations parameterizing a HashTable.
 
@@ -82,14 +86,35 @@ class HashSpec(NamedTuple):
     key_equal: Callable[[object, object], bool]
 
 
-def salted_mix64(x: int) -> int:
-    """mix64 of the key xor a fixed salt: symbol_spec's second hash."""
-    return mix64((x & _MASK64) ^ 0x9E3779B97F4A7C15)
+class HashStats(NamedTuple):
+    """A HashTable's occupancy and probe lengths, as HashTable.stats() computes them.
+
+    load is live entries over capacity; probe_lengths maps n to the number of live keys a
+    find reaches on the n-th slot of its probe sequence, in increasing n.
+    """
+
+    entries: int
+    capacity: int
+    tombstones: int
+    load: float
+    probe_lengths: dict
+
+
+def _symbol_hash1(x: int) -> int:
+    """symbol_spec's first hash: CPython's tuple hash of (x, 0), high half folded into the low."""
+    h = hash((x, 0))
+    return h ^ (h >> 32)
+
+
+def _symbol_hash2(x: int) -> int:
+    """symbol_spec's second hash: the same over (0, x), so the key feeds the other lane."""
+    h = hash((0, x))
+    return h ^ (h >> 32)
 
 
 def symbol_spec(key_size: int = 8) -> HashSpec:
     """Spec for fixed-width unsigned integer keys."""
-    return HashSpec(key_size=key_size, hash1=mix64, hash2=salted_mix64, key_equal=operator.eq)
+    return HashSpec(key_size=key_size, hash1=_symbol_hash1, hash2=_symbol_hash2, key_equal=operator.eq)
 
 
 def string_spec() -> HashSpec:
@@ -210,6 +235,8 @@ class HashTable(Container):
 
         A replace keeps the stored key, as `dict` does.
         """
+        if key is None:  # None marks an empty slot in the key column; refused before any growth
+            raise DomainFault("a HashTable key cannot be None")
         if self._live + self._tombstones + 1 > self._limit:
             self._rehash((self._mask + 1) * (1 if self._tombstones > self._live else 2))
         hint_key, mods, found, free = self._hint
@@ -219,8 +246,6 @@ class HashTable(Container):
             self._mods += 1
             self._data[found] = datum
             return True
-        if key is None:  # None marks an empty slot in the key column
-            raise DomainFault("a HashTable key cannot be None")
         self._mods += 1
         keys = self._keys
         if keys[free] is _TOMBSTONE:
@@ -254,6 +279,26 @@ class HashTable(Container):
         if self._tombstones > self._live:
             self._rehash(self._mask + 1)
         return True
+
+    def stats(self) -> HashStats:
+        """Occupancy and probe-length histogram, computed now by walking each live key's probe path.
+
+        No operation counts anything for this; it costs one hash1 per live key, plus a hash2
+        for each key off its first slot.
+        """
+        keys, mask, capacity = self._keys, self._mask, self._mask + 1
+        lengths = {}
+        for slot in compress(range(capacity), self._live_map):
+            key = keys[slot]
+            index = self._hash1(key) & mask
+            length = 1
+            if index != slot:
+                step = self._hash2(key) | 1
+                while index != slot:
+                    index = (index + step) & mask
+                    length += 1
+            lengths[length] = lengths.get(length, 0) + 1
+        return HashStats(self._live, capacity, self._tombstones, self._live / capacity, dict(sorted(lengths.items())))
 
     def items(self):
         """Iterator over each live (key, datum) once, in unspecified order."""

@@ -1,5 +1,9 @@
+import json
 import operator
+import os
 import random
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -13,11 +17,10 @@ from pakit.hashing import (
     _TOMBSTONE,
     FNV64_OFFSET_BASIS,
     HashSpec,
+    HashStats,
     HashTable,
     MAX_LOAD,
     fnv1a_64,
-    mix64,
-    salted_mix64,
     string_spec,
     symbol_spec,
 )
@@ -230,7 +233,8 @@ def test_mutation_during_iteration_faults():
 
 def test_mutation_after_the_last_live_slot_faults():
     t = HashTable(symbol_spec())
-    last = next(key for key in range(100) if mix64(key) & (t.capacity - 1) == t.capacity - 1)
+    hash1 = t.spec.hash1
+    last = next(key for key in range(100) if hash1(key) & (t.capacity - 1) == t.capacity - 1)
     t.insert(last, "last")
     entries = t.items()
     assert next(entries) == (last, "last")
@@ -311,6 +315,123 @@ def test_none_key_is_refused_and_changes_nothing():
     t.destroy()
 
 
+@pytest.mark.parametrize("spec, key_of", [
+    (symbol_spec(), lambda i: i << 32 | 7),
+    (string_spec(), lambda i: b"w%d" % i),
+], ids=["symbol", "string"])
+def test_refused_insert_changes_nothing_at_the_growth_threshold(spec, key_of):
+    # four live keys and a tombstone at capacity 8: any accepted insert would double the table
+    t = HashTable(spec, initial_capacity=8)
+    for i in range(5):
+        t.insert(key_of(i), i)
+    t.remove(key_of(4))
+    before = (t.capacity, t.tombstone_count, len(t), t._slots)
+    entries = t.items()
+    first = next(entries)
+    with pytest.raises(DomainFault, match="cannot be None"):
+        t.insert(None, 1)
+    assert (t.capacity, t.tombstone_count, len(t), t._slots) == before
+    assert sorted([first, *entries]) == sorted((key_of(i), i) for i in range(4))  # no ContractFault
+    t.destroy()
+
+
+def test_symbol_find_of_none_returns_the_default():
+    t = HashTable(symbol_spec())
+    for i in range(5):
+        t.insert(i, i)
+    assert t.find(None, "d") == "d"
+    assert None not in t
+    t.destroy()
+
+
+def test_stats_of_an_empty_table():
+    t = HashTable(symbol_spec(), initial_capacity=16)
+    assert t.stats() == HashStats(entries=0, capacity=16, tombstones=0, load=0.0, probe_lengths={})
+    t.destroy()
+
+
+def test_stats_walks_each_probe_path():
+    # colliding_spec: hash1 = k % 3, step = (k // 3) | 1; capacity 8 throughout
+    t = HashTable(colliding_spec, initial_capacity=8)
+    for k in (0, 3, 6, 1):  # slots 0, 0+1, 0+3, and 1 (taken) + 1
+        t.insert(k, k)
+    t.remove(6)
+    stats = t.stats()
+    assert (stats.entries, stats.capacity, stats.tombstones, stats.load) == (3, 8, 1, 3 / 8)
+    assert [t._keys.index(k) for k in (0, 3, 1)] == [0, 1, 2]
+    assert stats.probe_lengths == {1: 1, 2: 2}
+    t.destroy()
+
+
+def test_stats_agrees_with_the_oracle_probe_count():
+    rng = random.Random(94)
+    t = HashTable(colliding_spec)
+    keys = rng.sample(range(1000, 5000), 300)
+    for k in keys:
+        t.insert(k, k)
+    for k in keys[::3]:
+        t.remove(k)
+    counted = {}
+    for k in keys:
+        if k in t:  # count the slots a find examines, independently of stats()
+            index, step, n = k % 3 & (t.capacity - 1), (k // 3) | 1, 1
+            while t._keys[index] is _TOMBSTONE or t._keys[index] != k:
+                index, n = (index + step) & (t.capacity - 1), n + 1
+            counted[n] = counted.get(n, 0) + 1
+    stats = t.stats()
+    assert stats.probe_lengths == dict(sorted(counted.items()))
+    assert list(stats.probe_lengths) == sorted(stats.probe_lengths)
+    assert (stats.entries, stats.tombstones) == (len(t), t.tombstone_count)
+    t.destroy()
+
+
+def probe_quality_families(n):
+    """Structured integer key families, n keys each (fewer for random bigrams, after dedup)."""
+    rng = random.Random(95)
+    families = {"range": range(n), "i<<32|7": [i << 32 | 7 for i in range(n)],
+                "7<<32|i": [7 << 32 | i for i in range(n)]}
+    for k in range(8, 57, 6):
+        families["i<<%d" % k] = [i << k for i in range(n)]
+    families["bigrams"] = list(dict.fromkeys(rng.randrange(20000) << 32 | rng.randrange(20000) for _ in range(n)))
+    families["hmm s<<32|w"] = [s << 32 | w for s in range(16) for w in range(n // 16)]
+    return families
+
+
+def probe_quality(spec, keys):
+    """(mean, max) probe length of a find over the table that inserting `keys` builds."""
+    t = HashTable(spec)
+    for k in keys:
+        t.insert(k, 0)
+    lengths = t.stats().probe_lengths
+    t.destroy()
+    return sum(n * c for n, c in lengths.items()) / sum(lengths.values()), max(lengths)
+
+
+# 20,000 keys fill a 32,768-slot table to load 0.61, where uniform double hashing probes
+# -ln(1 - 0.61) / 0.61 = 1.54 slots on average and about 20 at most
+PROBE_MEAN_BOUND, PROBE_MAX_BOUND = 1.65, 40
+
+
+def _unfinalized_hash1(x):
+    return hash((x, 0))
+
+
+def _unfinalized_hash2(x):
+    return hash((0, x))
+
+
+def test_symbol_spec_probes_like_a_random_hash_on_structured_keys():
+    families = probe_quality_families(20000)
+    for name, keys in families.items():
+        mean, longest = probe_quality(symbol_spec(), keys)
+        assert mean < PROBE_MEAN_BOUND and longest < PROBE_MAX_BOUND, (name, mean, longest)
+    # the bounds have teeth: without the xorshift the tuple hash's low bits cluster
+    unfinalized = HashSpec(key_size=8, hash1=_unfinalized_hash1, hash2=_unfinalized_hash2, key_equal=operator.eq)
+    for name in ("range", "7<<32|i", "i<<38"):
+        mean, longest = probe_quality(unfinalized, families[name])
+        assert mean >= PROBE_MEAN_BOUND or longest >= PROBE_MAX_BOUND, (name, mean, longest)
+
+
 def test_spec_is_read_only():
     spec = symbol_spec()
     t = HashTable(spec)
@@ -321,11 +442,56 @@ def test_spec_is_read_only():
 
 
 def test_symbol_spec_hashes_keep_their_bits():
+    # CPython's tuple hash over (x, 0) and (0, x), each high half xor-folded into the low
     spec = symbol_spec()
     for x in (0, 1, 12345, (1 << 64) - 1, 1 << 70):
-        assert spec.hash2(x) == mix64((x & ((1 << 64) - 1)) ^ 0x9E3779B97F4A7C15)
-    assert spec.hash1(1) == 0x5692161D100B05E5
+        h1, h2 = hash((x, 0)), hash((0, x))
+        assert spec.hash1(x) == h1 ^ (h1 >> 32)
+        assert spec.hash2(x) == h2 ^ (h2 >> 32)
+        assert spec.hash1(x) != spec.hash2(x) or x == 0  # (0, 0) is both tuples
     assert spec.key_equal(3, 3) and not spec.key_equal(3, 4)
+
+
+def test_symbol_keys_congruent_mod_the_mersenne_prime_share_both_hashes():
+    # CPython hashes an int modulo 2**61 - 1, so such keys collide fully: 8 below 2**64 per
+    # residue, 9 for residues 0 to 7; key_equal still tells them apart, at the cost of probes
+    spec, prime = symbol_spec(), (1 << 61) - 1
+    keys = [5 + n * prime for n in range(9)]
+    assert keys[-1] < 1 << 64 <= keys[-1] + prime
+    assert len({(spec.hash1(k), spec.hash2(k)) for k in keys}) == 1
+    t = HashTable(spec)
+    for k in keys:
+        t.insert(k, k)
+    assert [t.find(k) for k in keys] == keys
+    assert t.stats().probe_lengths == {n: 1 for n in range(1, 10)}
+    t.destroy()
+
+
+_DETERMINISM_SCRIPT = """
+import json
+from pakit.hashing import HashTable, symbol_spec
+spec = symbol_spec()
+keys = [*range(300), *(i << 32 | 7 for i in range(1, 300)), *(i << 44 for i in range(1, 300)), (1 << 64) - 1, 1 << 70]
+t = HashTable(spec)
+for k in keys:
+    t.insert(k, k & 0xFF)
+print(json.dumps([[spec.hash1(k) for k in keys], [spec.hash2(k) for k in keys], list(t.items())]))
+t.destroy()
+"""
+
+
+def test_symbol_spec_layout_ignores_the_hash_seed():
+    # int and tuple hashes are unsalted (only str and bytes hashes are), so slot layout repeats
+    outputs = []
+    for seed in ("0", "1"):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(json.loads(run.stdout))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][2]) == 900
 
 
 _HEADER_BYTES = Container.HEADER_BYTES  # the header estimate HashTable inherits
@@ -536,15 +702,16 @@ def test_probe_rewrite_matches_previous_table(spec_name, ops):
 
 
 def counting_symbol_spec():
+    shipped = symbol_spec()
     calls = {"hash1": 0, "hash2": 0}
 
     def hash1(key):
         calls["hash1"] += 1
-        return mix64(key)
+        return shipped.hash1(key)
 
     def hash2(key):
         calls["hash2"] += 1
-        return salted_mix64(key)
+        return shipped.hash2(key)
 
     return HashSpec(key_size=8, hash1=hash1, hash2=hash2, key_equal=operator.eq), calls
 
@@ -554,7 +721,7 @@ def test_first_slot_hits_never_compute_the_step():
     capacity = 64
     keys, buckets, candidate = [], set(), 0
     while len(keys) + 1 <= MAX_LOAD * capacity:  # stay below the growth threshold
-        bucket = mix64(candidate) & (capacity - 1)
+        bucket = symbol_spec().hash1(candidate) & (capacity - 1)
         if bucket not in buckets:
             buckets.add(bucket)
             keys.append(candidate)
