@@ -12,28 +12,29 @@ is lexicographic, which for big-endian fixed-width unsigned integers
 coincides with numeric order; a caller-supplied `key_compare` is
 searched in Python.
 
-A lookup under the default order makes no numpy call once the table
-has been looked up twice at its current size.  It bisects a cached list
-of fence keys, every FENCE_STRIDE-th key as exact `bytes` (a sparse
-index over the sorted run, as in the fence keys of a B-tree), to find
-the key's block, then runs one `bytearray.find` over that block's pairs,
-passing over any match off a pair boundary (across two pairs or inside
-a datum).  The fences are built on the second lookup after a size
-change and dropped by every insert of a new key and every delete, so a
-loop that inserts and looks up keeps to the plain search.  They are a
+A lookup under the default order bisects a list of fence keys, every
+FENCE_STRIDE-th key as exact `bytes` (a sparse index over the sorted
+run, as in the fence keys of a B-tree; Graefe 2011, "Modern B-Tree
+Techniques"), to find the key's block, then runs one `bytearray.find`
+over that block's pairs, passing over any match off a pair boundary
+(across two pairs or inside a datum).  The first lookup after a size
+change builds the fences in one numpy pass and every later lookup
+makes no numpy call; every insert of a new key and every delete drops
+them.  So lookups are cheap and mutations are not: the lookup after
+each one rebuilds the fences in O(n / FENCE_STRIDE).  The fences are a
 cache derived from the pairs and are not accounted.
 
-The plain search, `_search`, serves insert, delete, tables with a
-`key_compare` and the first lookup after a size change.  Under the
-default order it runs numpy's `searchsorted` on a zero-copy view of the
-pair buffer (key field `S<key_size>`, datum field `V<datum_size>`), as
-does the order check when a table is read.  That view is cached too and
-dropped before every resize of the buffer, which a live view would
-block.
+Insert, delete and tables with a `key_compare` use the plain search,
+`_search`, a bisect over ranks that reads one key per step.  numpy runs
+only in whole-run passes, the fence build and the order check when a
+table is read, each on a strided view of the pair buffer that it drops
+before returning.  No view outlives the call: `np.ndarray(buffer=...)`
+does not pin a bytearray, so a view kept across a resize would read
+freed memory.
 """
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -48,8 +49,8 @@ class CompactTable(Container):
     """Sorted (key, datum) table over fixed-size byte blocks."""
 
     __slots__ = (
-        "key_size", "datum_size", "key_compare", "_pairs", "_count", "_keys",
-        "_fences", "_fence_span", "_key_from", "_datum_from", "_pair_from",
+        "key_size", "datum_size", "key_compare", "_pairs", "_count", "_fences",
+        "_fence_span", "_key_from", "_datum_from", "_pair_from",
     )
 
     def __init__(self, key_size: int, datum_size: int, key_compare=None):
@@ -62,10 +63,7 @@ class CompactTable(Container):
         self.key_compare = key_compare
         self._pairs = bytearray()
         self._count = 0
-        self._keys = None  # cached key-field view of _pairs; None whenever _pairs may resize
-        # None until a lookup at the current size, then False until the
-        # next builds the fence list; key_compare tables stay at False
-        self._fences = None
+        self._fences = None  # built by the first lookup after a size change; never for a key_compare
         self._fence_span = FENCE_STRIDE * (key_size + datum_size)  # bytes per fence block
         # slice readers that copy once into bytes and hold no export of _pairs after the call
         self._key_from = struct.Struct("%ds" % key_size).unpack_from
@@ -76,20 +74,6 @@ class CompactTable(Container):
     def _key_at(self, rank: int) -> bytes:
         (key,) = self._key_from(self._pairs, rank * (self.key_size + self.datum_size))
         return key
-
-    def _key_view(self):
-        """The keys of _pairs as a zero-copy numpy `S<key_size>` array, cached.
-
-        numpy compares `S` values with trailing NUL bytes stripped, which
-        for keys of one fixed width is exactly lexicographic byte order.
-        """
-        if self._keys is None:
-            if self.datum_size:
-                pair = np.dtype([("key", "S%d" % self.key_size), ("datum", "V%d" % self.datum_size)])
-                self._keys = np.frombuffer(self._pairs, dtype=pair)["key"]
-            else:
-                self._keys = np.frombuffer(self._pairs, dtype="S%d" % self.key_size)
-        return self._keys
 
     def _fence_keys(self) -> list:
         """Every FENCE_STRIDE-th key of _pairs as exact bytes, the first key first.
@@ -107,8 +91,7 @@ class CompactTable(Container):
         """Binary search: (True, rank) if present, else (False, insertion rank)."""
         compare = self.key_compare
         if compare is None:
-            keys = self._keys
-            rank = int((self._key_view() if keys is None else keys).searchsorted(key))
+            rank = bisect_left(range(self._count), key, key=self._key_at)
             offset = rank * (self.key_size + self.datum_size)
             return rank < self._count and self._pairs.startswith(key, offset), rank
         lo, hi = 0, self._count
@@ -132,27 +115,25 @@ class CompactTable(Container):
         if type(key) is not bytes or len(key) != key_size:
             key = self._check_size(key, key_size, "key")
         fences = self._fences
-        if fences:  # kept inline, so a lookup is one Python frame
-            span = self._fence_span
-            start = (bisect_right(fences, key) - 1) * span
-            if start < 0:  # below the first key
-                return None
-            pairs, pair_size = self._pairs, key_size + self.datum_size
-            at = pairs.find(key, start, start + span)
-            while at % pair_size and at >= 0:  # a match off a pair boundary is no key
-                at = pairs.find(key, at + 1, start + span)
-            if at < 0:
-                return None
-            (datum,) = self._datum_from(pairs, at + key_size)
-            return datum
         if fences is None:
-            self._fences = False
-        elif fences is False and self.key_compare is None:
-            self._fences = self._fence_keys()
-        found, rank = self._search(key)
-        if not found:
+            if self.key_compare is not None:
+                found, rank = self._search(key)
+                if not found:
+                    return None
+                (datum,) = self._datum_from(self._pairs, rank * (key_size + self.datum_size) + key_size)
+                return datum
+            fences = self._fences = self._fence_keys()
+        span = self._fence_span  # the fence search is kept inline, so a lookup is one Python frame
+        start = (bisect_right(fences, key) - 1) * span
+        if start < 0:  # below the first key
             return None
-        (datum,) = self._datum_from(self._pairs, rank * (key_size + self.datum_size) + key_size)
+        pairs, pair_size = self._pairs, key_size + self.datum_size
+        at = pairs.find(key, start, start + span)
+        while at % pair_size and at >= 0:  # a match off a pair boundary is no key
+            at = pairs.find(key, at + 1, start + span)
+        if at < 0:
+            return None
+        (datum,) = self._datum_from(pairs, at + key_size)
         return datum
 
     def __contains__(self, key) -> bool:
@@ -168,7 +149,7 @@ class CompactTable(Container):
         if found:
             self._pairs[offset + self.key_size : offset + pair_size] = datum
             return True
-        self._keys = self._fences = None
+        self._fences = None
         self._pairs[offset:offset] = key + datum
         self._count += 1
         self._resize(len(self._pairs))
@@ -181,7 +162,7 @@ class CompactTable(Container):
             return False
         pair_size = self.key_size + self.datum_size
         offset = rank * pair_size
-        self._keys = self._fences = None
+        self._fences = None
         del self._pairs[offset : offset + pair_size]
         self._count -= 1
         self._resize(len(self._pairs))
@@ -226,7 +207,12 @@ class CompactTable(Container):
     def _first_unsorted_rank(self):
         """Smallest rank whose key is not above the key before it, or None."""
         if self.key_compare is None:
-            keys = self._key_view()
+            # numpy compares `S` values with trailing NUL bytes stripped, which
+            # for keys of one fixed width is exactly lexicographic byte order
+            keys = np.ndarray(
+                (self._count,), dtype="S%d" % self.key_size,
+                buffer=self._pairs, strides=(self.key_size + self.datum_size,),
+            )
             out_of_order = np.flatnonzero(keys[1:] <= keys[:-1])
             return int(out_of_order[0]) + 1 if out_of_order.size else None
         for rank in range(1, self._count):

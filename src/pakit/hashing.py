@@ -258,6 +258,8 @@ class HashTable(Container):
 
     def find(self, key, default=None):
         """Return the datum mapped to key, or `default` when absent."""
+        if key is None:  # no key is None, so the spec's hashes never see it
+            return default
         found, free = self._probe(key)
         self._hint = (key, self._mods, found, free)
         return default if found < 0 else self._data[found]
@@ -267,6 +269,8 @@ class HashTable(Container):
 
     def remove(self, key) -> bool:
         """Remove key if present (leaving a tombstone); True iff it was there."""
+        if key is None:
+            return False
         found = self._probe(key)[0]
         if found < 0:
             return False

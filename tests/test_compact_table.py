@@ -261,6 +261,10 @@ def test_read_accepts_keys_ending_in_nul(key_compare):
     for key in keys:
         assert table.lookup(key) == b"\x07"
     assert table.lookup(b"\x00\x02") is None
+    assert table.insert(b"\x00\x02", b"\x08") is False  # a read table takes mutations
+    assert table.delete(b"\x00\x00") is True
+    assert [table.lookup(key) for key in keys[:3]] == [None, b"\x07", b"\x07"]
+    assert table.lookup(b"\x00\x02") == b"\x08"
     table.destroy()
 
 
@@ -270,15 +274,21 @@ def test_read_accepts_keys_ending_in_nul(key_compare):
 edge_bytes = st.one_of(st.sampled_from([0x00, 0x80, 0xFF]), st.integers(0, 255))
 
 
-@pytest.mark.parametrize("key_size", [1, 3, 8])
+@pytest.mark.parametrize(
+    "key_size, key_compare",
+    [  # the default order keeps the plain key_size ids
+        pytest.param(size, compare, id="%d%s" % (size, suffix))
+        for compare, suffix in [(None, ""), (lexicographic, "-key_compare")] for size in (1, 3, 8)
+    ],
+)
 @pytest.mark.parametrize("datum_size", [0, 4])
 @given(data=st.data())
 @settings(max_examples=60)
-def test_matches_dict_reference_model(key_size, datum_size, data):
+def test_matches_dict_reference_model(key_size, datum_size, key_compare, data):
     keys = st.lists(edge_bytes, min_size=key_size, max_size=key_size).map(bytes)
     datums = st.binary(min_size=datum_size, max_size=datum_size)
     steps = data.draw(st.lists(st.tuples(keys, datums, datums, st.booleans()), max_size=40))
-    table = CompactTable(key_size, datum_size)
+    table = CompactTable(key_size, datum_size, key_compare)
     reference = {}
     try:
         for key, first, second, remove in steps:
@@ -400,6 +410,8 @@ def test_fence_lookups_after_replace_insert_and_delete(key_size, datum_size):
             assert table.insert(key, bytes(datum_size)) is False
             reference[key] = bytes(datum_size)
             assert table._fences is None
+            assert table.lookup(key) == bytes(datum_size)  # one lookup rebuilds the fences
+            assert table._fences == sorted(reference)[::FENCE_STRIDE]
             check_probes(table, reference, probes)
         for key in keys[FENCE_STRIDE - 2 :: FENCE_STRIDE] + keys[:2]:  # deletes shift fences
             assert table.delete(key) is True
@@ -419,7 +431,7 @@ def test_key_compare_table_never_builds_fences():
         for _ in range(3):
             for n in range(300):
                 assert table.lookup(key4(n)) == (b"d" if n % 3 == 0 else None)
-        assert table._fences is False
+        assert table._fences is None
     finally:
         table.destroy()
 

@@ -52,9 +52,14 @@ def test_compact_table_read_of_damaged_stream(key_size, datum_size, key_compare,
     except DecodeFault:
         pass
     else:
-        loaded_keys = [key for key, _ in loaded.items()]
+        loaded_items = list(loaded.items())
+        loaded_keys = [key for key, _ in loaded_items]
         assert all(a < b for a, b in zip(loaded_keys, loaded_keys[1:]))
         assert len(damaged) >= 8 + len(loaded) * (key_size + datum_size)
+        for key, datum in loaded_items:
+            assert loaded.lookup(key) == datum
+        absent = next(k for k in (bytes([b]) * key_size for b in range(256)) if k not in loaded_keys)
+        assert loaded.lookup(absent) is None
         loaded.destroy()
     assert accounting.totals() == before
 

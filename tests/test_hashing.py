@@ -335,12 +335,18 @@ def test_refused_insert_changes_nothing_at_the_growth_threshold(spec, key_of):
     t.destroy()
 
 
-def test_symbol_find_of_none_returns_the_default():
-    t = HashTable(symbol_spec())
-    for i in range(5):
-        t.insert(i, i)
-    assert t.find(None, "d") == "d"
-    assert None not in t
+@pytest.mark.parametrize("spec, key", [(symbol_spec(), 3), (string_spec(), b"w3")], ids=["symbol", "string"])
+def test_none_probe_is_absent_without_hashing(spec, key):
+    calls = []
+
+    def counted(h):
+        return lambda k: calls.append(k) or h(k)
+
+    t = HashTable(spec._replace(hash1=counted(spec.hash1), hash2=counted(spec.hash2)))
+    t.insert(key, 1)
+    calls.clear()
+    assert (t.find(None, "d"), None in t, t.remove(None), list(t.items())) == ("d", False, False, [(key, 1)])
+    assert calls == []
     t.destroy()
 
 
