@@ -36,7 +36,7 @@ print("string_of(1):", bytes(trie.string_of(1)))
 print("find(b'te') ->", trie.find(b"te"), "(prefixes are not interned)")
 
 print()
-print("== HashTable: open addressing + double hashing over any key spec ==")
+print("== HashTable: any hashable key, over one dict ==")
 h = HashTable(string_spec())
 for i, word in enumerate(b"the quick brown fox jumps over the lazy dog".split()):
     h.insert(word, i)

@@ -4,7 +4,7 @@ Containers
     Vector        fixed-size elements in one contiguous buffer
     CompactTable  sorted pair array, O(log n) lookup, minimal footprint
     Trie          interns symbol strings as dense integer indices
-    HashTable     open addressing + double hashing, via HashSpec
+    HashTable     <key, datum> table over a dict; keys bring their own hash
     UnigramTable  frequency counters that widen from 1 to 8 bytes
 
 Numerics

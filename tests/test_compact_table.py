@@ -371,6 +371,7 @@ def check_probes(table, reference, probes):
             assert table.lookup(probe) == reference.get(probe), probe
 
 
+@pytest.mark.representation
 @pytest.mark.parametrize("key_size", [1, 3, 8])
 @pytest.mark.parametrize("datum_size", [0, 4])
 def test_fence_lookups_match_a_dict(key_size, datum_size):
@@ -390,6 +391,7 @@ def test_fence_lookups_match_a_dict(key_size, datum_size):
         table.destroy()
 
 
+@pytest.mark.representation
 @pytest.mark.parametrize("key_size", [1, 3, 8])
 @pytest.mark.parametrize("datum_size", [0, 4])
 def test_fence_lookups_after_replace_insert_and_delete(key_size, datum_size):
@@ -423,6 +425,7 @@ def test_fence_lookups_after_replace_insert_and_delete(key_size, datum_size):
         table.destroy()
 
 
+@pytest.mark.representation
 def test_key_compare_table_never_builds_fences():
     table = CompactTable(4, 1, key_compare=lexicographic)
     for n in range(0, 300, 3):
@@ -436,6 +439,7 @@ def test_key_compare_table_never_builds_fences():
         table.destroy()
 
 
+@pytest.mark.representation
 def test_a_warmed_lookup_and_a_count_make_no_numpy_call():
     table = CompactTable(8, 4)
     unigrams = UnigramTable(16)

@@ -260,6 +260,7 @@ def _reread(container, read):
     return read(stream)
 
 
+@pytest.mark.representation
 def test_vector_footprint():
     before = accounting.totals()
     v = Vector(8)
@@ -278,6 +279,7 @@ def test_vector_footprint():
     v.destroy()
 
 
+@pytest.mark.representation
 def test_compact_table_footprint():
     before = accounting.totals()
     t = CompactTable(4, 4)
@@ -297,6 +299,7 @@ def test_compact_table_footprint():
     keys_only.destroy()
 
 
+@pytest.mark.representation
 def test_unigram_footprint():
     before = accounting.totals()
     u = UnigramTable(1000)
@@ -310,6 +313,7 @@ def test_unigram_footprint():
     u.destroy()
 
 
+@pytest.mark.representation
 @pytest.mark.parametrize(
     "spec, key, empty, full",
     [
@@ -330,6 +334,7 @@ def test_hash_table_footprint(spec, key, empty, full):
     t.destroy()
 
 
+@pytest.mark.representation
 def test_trie_footprint():
     before = accounting.totals()
     # header 48, then 24 per string and symbol_width per symbol

@@ -188,6 +188,7 @@ def test_write_format_is_unchanged():
     t.destroy()
 
 
+@pytest.mark.representation
 def test_range_fault_interns_nothing():
     blocks_before, bytes_before = accounting.totals()
     t = Trie(1)
@@ -257,6 +258,7 @@ def test_integral_float_symbols_intern_as_ints():
     t.destroy()
 
 
+@pytest.mark.representation
 def test_interned_strings_stay_small_in_real_bytes():
     # 10,500 draws give 9,698 distinct words; the node store held 4.38 MB for them
     rng = random.Random(5)
@@ -291,6 +293,7 @@ def test_every_form_of_one_string_is_one_key(form):
     t.destroy()
 
 
+@pytest.mark.representation
 @pytest.mark.parametrize("width", [1, 2])
 def test_an_int_is_not_a_string(width):
     # bytes(5) is five zero bytes; the trie must never read an int as that
@@ -330,6 +333,7 @@ def test_read_rejects_a_repeated_string_at_every_width(width):
     assert accounting.totals() == before
 
 
+@pytest.mark.representation
 def test_a_bytes_hit_at_width_1_takes_no_nested_frame_and_no_tuple():
     t = Trie(1)
     t.index_of(b"ab")

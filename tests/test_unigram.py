@@ -231,6 +231,7 @@ def test_wire_bytes_are_big_endian_counters(width):
         loaded.destroy()
 
 
+@pytest.mark.representation
 def test_each_width_has_a_typecode_of_that_size():
     u = UnigramTable(2)
     try:
