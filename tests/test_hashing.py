@@ -294,10 +294,19 @@ def test_replace_keeps_the_stored_key():
 
 
 @pytest.mark.parametrize("spec, key", [(symbol_spec(), 3), (string_spec(), b"w3")], ids=["symbol", "string"])
+def test_none_probe_is_absent_until_inserted(spec, key):
+    t = HashTable(spec)
+    t.insert(key, 10)
+    before = (len(t), t.capacity, list(t.items()), accounting.totals())
+    assert (t.find(None, "d"), None in t, t.remove(None)) == ("d", False, False)
+    assert (len(t), t.capacity, list(t.items()), accounting.totals()) == before
+    t.destroy()
+
+
+@pytest.mark.parametrize("spec, key", [(symbol_spec(), 3), (string_spec(), b"w3")], ids=["symbol", "string"])
 def test_none_is_an_ordinary_key(spec, key):
     t = HashTable(spec)
     t.insert(key, 10)
-    assert (t.find(None, "d"), None in t, t.remove(None)) == ("d", False, False)
     assert t.insert(None, 5) is False
     assert (len(t), t.find(None), None in t, list(t.items())) == (2, 5, True, [(key, 10), (None, 5)])
     assert t.insert(None, 6) is True
