@@ -91,10 +91,10 @@ class Container:
     checks liveness or drops its own storage.
 
     Iteration follows one rule, as `dict` does: an iterator raises
-    `ContractFault` at its next step once the container's size has
-    changed since the iterator began, including after its last entry.
-    A write in place that keeps the size (`Vector.__setitem__`, a
-    `CompactTable.insert` that replaces a datum) does not count.
+    `ContractFault` at its next step once an operation that changes the
+    size has run since the iterator began, including after its last
+    entry.  A write in place that keeps the size (`Vector.__setitem__`,
+    a `CompactTable.insert` that replaces a datum) does not count.
     `HashTable` is stricter: any insert or remove since the iterator
     began counts, even one that replaces a datum.
     """

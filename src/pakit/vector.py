@@ -3,15 +3,14 @@
 Elements are opaque byte blocks of one size fixed at construction, held
 in a single contiguous buffer, so a vector of n elements costs
 n * element_size bytes plus a small header.  Supports insertion,
-concatenation, sorting under a caller-supplied order, and portable
-serialization.  Element *contents* are written verbatim; only the
-framing is architecture-independent.  The default (lexicographic) sort
-runs in numpy, in place, on a zero-copy `S<element_size>` view of the
-buffer; a caller-supplied order sorts in Python.
+concatenation, sorting, and portable serialization.  Element *contents*
+are written verbatim; only the framing is architecture-independent.
+`sort` orders elements as unsigned bytes, in numpy, in place, on a
+zero-copy `S<element_size>` view of the buffer; another order is a
+matter of encoding the elements (see the `CompactTable` docstring).
 """
 
 import struct
-from functools import cmp_to_key
 
 import numpy as np
 
@@ -118,19 +117,11 @@ class Vector(Container):
         joined._resize(len(joined._buf))
         return joined
 
-    def sort(self, compare=None) -> None:
-        """Sort elements in place; `compare(a, b)` returns <0, 0, or >0.
-
-        Defaults to lexicographic byte order.  Not guaranteed stable.
-        """
-        if compare is None:
-            # numpy orders `S` values with trailing NULs stripped: for one
-            # fixed width that is lexicographic byte order
-            np.frombuffer(self._buf, dtype="S%d" % self.element_size).sort()
-            return
-        elements = list(self)
-        elements.sort(key=cmp_to_key(compare))
-        self._buf = bytearray(b"".join(elements))
+    def sort(self) -> None:
+        """Sort elements in place in unsigned lexicographic byte order."""
+        # numpy orders `S` values with trailing NULs stripped: for one
+        # fixed width that is lexicographic byte order
+        np.frombuffer(self._buf, dtype="S%d" % self.element_size).sort()
 
     def write(self, stream) -> None:
         """Write 8-byte element count, then the raw element bytes."""

@@ -1,4 +1,3 @@
-import math
 import random
 import sys
 from io import BytesIO
@@ -86,26 +85,6 @@ def test_nth():
     t.destroy()
 
 
-def test_lookup_comparison_count_is_logarithmic():
-    comparisons = 0
-
-    def counting_compare(a, b):
-        nonlocal comparisons
-        comparisons += 1
-        return (a > b) - (a < b)
-
-    t = CompactTable(4, 1, key_compare=counting_compare)
-    n = 1000
-    for i in range(n):
-        t.insert(key4(i * 2), b"x")
-    bound = math.ceil(math.log2(n + 1)) + 1
-    for probe in range(0, 2 * n, 7):
-        comparisons = 0
-        t.lookup(key4(probe))
-        assert comparisons <= bound
-    t.destroy()
-
-
 def sorted_keys(t):
     return [k for k, _ in t.items()]
 
@@ -136,15 +115,19 @@ def test_matches_ordered_map_oracle():
     t.destroy()
 
 
-def test_custom_compare_defines_the_order():
-    def reverse_compare(a, b):
-        return (b > a) - (b < a)
+def test_encoded_keys_define_the_order():
+    # another order is a key encoding: complemented bytes run in reverse
+    def reverse(n):
+        return bytes(255 - b for b in key4(n))
 
-    t = CompactTable(4, 1, key_compare=reverse_compare)
-    for i in (1, 5, 3):
-        t.insert(key4(i), b".")
-    assert sorted_keys(t) == [key4(5), key4(3), key4(1)]
-    assert t.lookup(key4(3)) == b"."
+    t = CompactTable(4, 1)
+    for i in (1, 5, 3, 0):
+        t.insert(reverse(i), b".")
+    assert sorted_keys(t) == [reverse(5), reverse(3), reverse(1), reverse(0)]
+    assert t.lookup(reverse(3)) == b"."
+    assert t.lookup(key4(3)) is None
+    with pytest.raises(TypeError):
+        CompactTable(4, 1, lambda a, b: 0)  # no compare function
     t.destroy()
 
 
@@ -216,20 +199,6 @@ def test_use_after_destroy_faults():
         t.lookup(key4(0))
 
 
-def test_read_destroys_the_table_when_key_compare_raises():
-    t = make({1: b"a", 2: b"b"})
-    stream = BytesIO()
-    t.write(stream)
-    t.destroy()
-    stream.seek(0)
-    with pytest.raises(ZeroDivisionError):
-        CompactTable.read(stream, 4, 1, key_compare=lambda a, b: 1 / 0)
-
-
-def lexicographic(a, b):
-    return (a > b) - (a < b)
-
-
 def pair_stream(keys, datum_size=1):
     return BytesIO(len(keys).to_bytes(8, "big") + b"".join(k + b"\x07" * datum_size for k in keys))
 
@@ -245,18 +214,20 @@ def pair_stream(keys, datum_size=1):
         ([b"\x00\x00", b"\x00\x00"], 1),  # two all-zero keys
     ],
 )
-@pytest.mark.parametrize("key_compare", [None, lexicographic], ids=["default", "key_compare"])
-@pytest.mark.parametrize("datum_size", [0, 2])
-def test_read_order_fault_names_the_first_bad_rank(keys, rank, key_compare, datum_size):
+# "default" in the ids names the one key order, unsigned bytes
+@pytest.mark.parametrize("datum_size", [pytest.param(size, id="%d-default" % size) for size in (0, 2)])
+def test_read_order_fault_names_the_first_bad_rank(keys, rank, datum_size):
     stream = pair_stream(keys, datum_size)
     with pytest.raises(DecodeFault, match=r"not strictly sorted at rank %d$" % rank):
-        CompactTable.read(stream, len(keys[0]), datum_size, key_compare=key_compare)
+        CompactTable.read(stream, len(keys[0]), datum_size)
 
 
-@pytest.mark.parametrize("key_compare", [None, lexicographic], ids=["default", "key_compare"])
-def test_read_accepts_keys_ending_in_nul(key_compare):
-    keys = [b"\x00\x00", b"\x00\x01", b"\x01\x00", b"\x01\x01", b"\x80\x00", b"\xff\x00"]
-    table = CompactTable.read(pair_stream(keys), 2, 1, key_compare=key_compare)
+NUL_ENDED = [b"\x00\x00", b"\x00\x01", b"\x01\x00", b"\x01\x01", b"\x80\x00", b"\xff\x00"]
+
+
+@pytest.mark.parametrize("keys", [pytest.param(NUL_ENDED, id="default")])
+def test_read_accepts_keys_ending_in_nul(keys):
+    table = CompactTable.read(pair_stream(keys), 2, 1)
     assert [k for k, _ in table.items()] == keys
     for key in keys:
         assert table.lookup(key) == b"\x07"
@@ -274,21 +245,15 @@ def test_read_accepts_keys_ending_in_nul(key_compare):
 edge_bytes = st.one_of(st.sampled_from([0x00, 0x80, 0xFF]), st.integers(0, 255))
 
 
-@pytest.mark.parametrize(
-    "key_size, key_compare",
-    [  # the default order keeps the plain key_size ids
-        pytest.param(size, compare, id="%d%s" % (size, suffix))
-        for compare, suffix in [(None, ""), (lexicographic, "-key_compare")] for size in (1, 3, 8)
-    ],
-)
+@pytest.mark.parametrize("key_size", [1, 3, 8])
 @pytest.mark.parametrize("datum_size", [0, 4])
 @given(data=st.data())
 @settings(max_examples=60)
-def test_matches_dict_reference_model(key_size, datum_size, key_compare, data):
+def test_matches_dict_reference_model(key_size, datum_size, data):
     keys = st.lists(edge_bytes, min_size=key_size, max_size=key_size).map(bytes)
     datums = st.binary(min_size=datum_size, max_size=datum_size)
     steps = data.draw(st.lists(st.tuples(keys, datums, datums, st.booleans()), max_size=40))
-    table = CompactTable(key_size, datum_size, key_compare)
+    table = CompactTable(key_size, datum_size)
     reference = {}
     try:
         for key, first, second, remove in steps:
@@ -421,20 +386,6 @@ def test_fence_lookups_after_replace_insert_and_delete(key_size, datum_size):
             assert table._fences is None
             check_probes(table, reference, probes)
         assert list(table.items()) == sorted(reference.items())
-    finally:
-        table.destroy()
-
-
-@pytest.mark.representation
-def test_key_compare_table_never_builds_fences():
-    table = CompactTable(4, 1, key_compare=lexicographic)
-    for n in range(0, 300, 3):
-        table.insert(key4(n), b"d")
-    try:
-        for _ in range(3):
-            for n in range(300):
-                assert table.lookup(key4(n)) == (b"d" if n % 3 == 0 else None)
-        assert table._fences is None
     finally:
         table.destroy()
 

@@ -124,6 +124,17 @@ def test_table_that_grows_mid_iteration_faults_at_the_next_step():
     table.destroy()
 
 
+def test_table_with_a_delete_then_an_insert_mid_iteration_faults():
+    table = _filled(CompactTable(1, 0), [(b"b", b""), (b"c", b""), (b"d", b"")])
+    entries = table.items()
+    assert next(entries) == (b"b", b"")
+    table.delete(b"d")
+    table.insert(b"a", b"")  # the size is back to 3, but the rest would give b again and c
+    with pytest.raises(ContractFault, match="CompactTable changed size during iteration"):
+        next(entries)
+    table.destroy()
+
+
 def test_vector_that_grows_mid_iteration_faults_at_the_next_step():
     vector = Vector(1, [b"x", b"y"])
     elements = iter(vector)

@@ -119,10 +119,19 @@ def test_default_sort_matches_sorted(element_size, data):
     v.destroy()
 
 
-def test_sort_with_custom_compare():
-    v = make([1, 3, 2])
-    v.sort(lambda a, b: (b > a) - (b < a))  # reverse order
-    assert contents(v) == [3, 2, 1]
+def test_sort_of_encoded_elements():
+    # another order is an element encoding: signed big-endian ints with the
+    # top bit flipped (offset binary) sort numerically
+    def offset_binary(n):
+        two = n.to_bytes(2, "big", signed=True)
+        return bytes([two[0] ^ 0x80]) + two[1:]
+
+    values = [3, -1, 0, -32768, 32767, -256, 255, 1]
+    v = Vector(2, [offset_binary(n) for n in values])
+    v.sort()
+    assert list(v) == [offset_binary(n) for n in sorted(values)]
+    with pytest.raises(TypeError):
+        v.sort(lambda a, b: 0)  # no compare function
     v.destroy()
 
 
@@ -130,7 +139,7 @@ def test_sort_is_permutation():
     rng = random.Random(42)
     values = [rng.randrange(16) for _ in range(500)]
     v = make(values)
-    v.sort(lambda a, b: (a > b) - (a < b))
+    v.sort()
     assert sorted(contents(v)) == sorted(values)
     out = contents(v)
     assert all(out[i] <= out[i + 1] for i in range(len(out) - 1))
