@@ -30,9 +30,10 @@ print("logpr:    -ln(product) = %.6f  (error %.2e)" % (neg_log, abs(-neg_log - t
 value = balanced.ONE
 for p in probabilities:
     value = balanced.mul(value, balanced.from_real(p))
+significand, exponent = value
 print(
     "balanced: significand %.6f, exponent %d -> ln = %.6f  (error %.2e)"
-    % (value.significand, value.exponent, balanced.ln_abs(value), abs(balanced.ln_abs(value) - true_ln))
+    % (significand, exponent, balanced.ln_abs(value), abs(balanced.ln_abs(value) - true_ln))
 )
 
 code = 0
@@ -40,7 +41,7 @@ for p in probabilities:
     code = fixedlog.mul(code, fixedlog.from_real(p))
 print(
     "fixedlog: code %d of %d -> ln = %.6f  (error %.2e)"
-    % (code, fixedlog.SENTINEL, -code / fixedlog.DEFAULT_SCALE, abs(-code / fixedlog.DEFAULT_SCALE - true_ln))
+    % (code, fixedlog.SENTINEL, -code / fixedlog.SCALE, abs(-code / fixedlog.SCALE - true_ln))
 )
 
 print()

@@ -8,8 +8,8 @@ Containers
     UnigramTable  frequency counters that widen from 1 to 8 bytes
 
 Numerics
-    balanced      single-quality significand with a 32-bit exponent
-    fixedlog      integer codes for -scale*ln(p), table-driven addition
+    balanced      (significand, exponent) tuples: single-quality significand, 32-bit exponent
+    fixedlog      32-bit integer codes for -2**16*ln(p), table-driven addition
     logpr         -ln(p) as a double, the accuracy reference
     pr            one generic interface over all of them, plus conformance
 
@@ -17,6 +17,10 @@ Every container derives from `accounting.Container`, one registered block
 that destroy() releases once; later operations raise ContractFault.  Destroy
 what you create and the registry totals return to zero.  All serialization
 goes through `wire`, a big-endian self-delimiting format.
+
+Each number module has one value form and one function per operation,
+and `pr` binds those same functions wherever they already follow its
+probability rule.
 """
 
 from . import accounting, balanced, fixedlog, hashing, logpr, pr, unigram, vector, wire

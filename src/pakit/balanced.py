@@ -1,9 +1,14 @@
 """Extended-range floats: single-quality significand, 32-bit exponent.
 
-A BalancedNumber is significand * 2**exponent with the significand kept
-in the canonical frexp band 0.5 <= |s| < 1 (zero is exactly (0.0, 0)).
-The 32-bit exponent reaches magnitudes around 10**±646456993, far past
-either double limit, while negative values work like any other float.
+A value is the plain tuple (significand, exponent), standing for
+significand * 2**exponent, with the significand kept in the canonical
+frexp band 0.5 <= |s| < 1 (zero is exactly (0.0, 0)); compare values
+with cmp(), not <.  Values are exact tuples, not a named subclass,
+because CPython specializes unpacking and building only for exact
+tuples, and on a subclass those two steps cost more than the
+arithmetic.  The 32-bit exponent reaches magnitudes around
+10**±646456993, far past either double limit, while negative values
+work like any other float.
 
 Arithmetic runs the significands in double precision and rounds back to
 single afterwards, keeping each operation within one single-precision
@@ -12,18 +17,7 @@ the larger operand unchanged: the smaller one is below single
 resolution.  Infinities and NaNs are not values here; anything that
 leaves the representation raises instead.
 
-How results are built.  Each operation has one body, a private function
-that accepts any (significand, exponent) pair and returns the plain
-tuple literal (m, exp), or an operand as it was given where add passes
-one through.  The public functions box that result once, with
-tuple.__new__(BalancedNumber, ...), which skips the NamedTuple's
-keyword-checking __new__ and gives the same type, fields and equality.
-pr's probability view binds the bodies directly: CPython specializes
-unpacking and building only for exact tuples, so on a tuple subclass
-those two steps cost more than the arithmetic.  The readers (cmp,
-to_real, ln_abs, write) unpack, so they take either form.
-
-The bodies first bring the double result m into the band
+Each operation first brings its double result m into the band
 0.5 <= |m| < 1.  Where the range of m is known that takes one
 comparison and an exact doubling or halving: a product of two canonical
 significands lies in [0.25, 1), a quotient in (0.5, 2), an aligned sum
@@ -45,7 +39,6 @@ by one.
 
 import math
 import struct
-from typing import NamedTuple
 
 from .errors import DecodeFault, DomainFault, OverflowFault, RangeFault, UnderflowFault
 
@@ -58,18 +51,9 @@ _PACK_I32 = struct.Struct(">i")
 _LN2 = math.log(2.0)
 _ROUND = 1.5 * 2.0**28  # (m + _ROUND) - _ROUND rounds 0.5 <= |m| < 1 to single precision
 _ALIGN = [2.0**-shift for shift in range(ALIGN_CUTOFF + 1)]  # exact ldexp(1.0, -shift)
-_new = tuple.__new__
 
-
-class BalancedNumber(NamedTuple):
-    """Canonical significand/exponent pair.  Compare with cmp(), not <."""
-
-    significand: float
-    exponent: int
-
-
-ZERO = BalancedNumber(0.0, 0)
-ONE = BalancedNumber(0.5, 1)
+ZERO = (0.0, 0)
+ONE = (0.5, 1)
 
 
 def _rounded(m: float, exp: int) -> tuple:
@@ -91,14 +75,18 @@ def _canonical(sig: float, exp: int) -> tuple:
     return _rounded(m, exp + shift)
 
 
-def from_real(x: float) -> BalancedNumber:
+def from_real(x: float) -> tuple:
     """Convert a finite double; the significand rounds to single precision."""
-    if not math.isfinite(x):
+    try:
+        finite = math.isfinite(x)
+    except OverflowError:  # an int, say, past the double range
+        raise OverflowFault("%s value exceeds double range" % type(x).__name__) from None
+    if not finite:
         raise DomainFault("cannot represent non-finite value %r" % (x,))
-    return _new(BalancedNumber, _canonical(x, 0))
+    return _canonical(x, 0)
 
 
-def to_real(b: BalancedNumber) -> float:
+def to_real(b: tuple) -> float:
     """Convert back to double; out-of-range exponents raise, never wrap."""
     significand, exponent = b
     if significand == 0.0:
@@ -110,14 +98,14 @@ def to_real(b: BalancedNumber) -> float:
     return math.ldexp(significand, exponent)
 
 
-def neg(a: BalancedNumber) -> BalancedNumber:
+def neg(a: tuple) -> tuple:
     sa, ea = a
     if sa == 0.0:
         return ZERO
-    return _new(BalancedNumber, (-sa, ea))
+    return (-sa, ea)
 
 
-def _mul(a, b) -> tuple:
+def mul(a: tuple, b: tuple) -> tuple:
     sa, ea = a
     sb, eb = b
     m = sa * sb
@@ -145,11 +133,7 @@ def _mul(a, b) -> tuple:
     raise RangeFault("exponent %d outside 32-bit range" % exp)
 
 
-def mul(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
-    return _new(BalancedNumber, _mul(a, b))
-
-
-def _div(a, b) -> tuple:
+def div(a: tuple, b: tuple) -> tuple:
     sa, ea = a
     sb, eb = b
     if sb == 0.0:
@@ -165,10 +149,6 @@ def _div(a, b) -> tuple:
     if 0.5 <= magnitude < 1.0:
         return _rounded(q, exp)
     return _canonical(q, exp)
-
-
-def div(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
-    return _new(BalancedNumber, _div(a, b))
 
 
 def _adder(ceiling: int, above):
@@ -218,19 +198,15 @@ def _adder(ceiling: int, above):
     return add
 
 
-_add = _adder(_EXP_MAX, None)
-_probability_add = _adder(0, (0.5, 1))  # pr's view: a canonical value >= 0 is >= 1 iff its exponent is >= 1
+add = _adder(_EXP_MAX, None)
+_probability_add = _adder(0, ONE)  # pr's view: a canonical value >= 0 is >= 1 iff its exponent is >= 1
 
 
-def add(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
-    return _new(BalancedNumber, _add(a, b))
-
-
-def sub(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
+def sub(a: tuple, b: tuple) -> tuple:
     return add(a, neg(b))
 
 
-def cmp(a: BalancedNumber, b: BalancedNumber) -> int:
+def cmp(a: tuple, b: tuple) -> int:
     """Total order on represented values; never converts to double."""
     sa, ea = a
     sb, eb = b
@@ -248,7 +224,7 @@ def cmp(a: BalancedNumber, b: BalancedNumber) -> int:
     return 1 if sa > sb else -1
 
 
-def ln_abs(b: BalancedNumber) -> float:
+def ln_abs(b: tuple) -> float:
     """Natural log of |value| as a double; defined far outside double range."""
     significand, exponent = b
     if significand == 0.0:
@@ -256,14 +232,14 @@ def ln_abs(b: BalancedNumber) -> float:
     return math.log(abs(significand)) + exponent * _LN2
 
 
-def write(stream, b: BalancedNumber) -> None:
+def write(stream, b: tuple) -> None:
     """4-byte single-precision significand, 4-byte big-endian exponent."""
     significand, exponent = b
     stream.write(_PACK_F32.pack(significand))
     stream.write(_PACK_I32.pack(exponent))
 
 
-def read(stream) -> BalancedNumber:
+def read(stream) -> tuple:
     data = stream.read(8)
     if len(data) != 8:
         raise DecodeFault("truncated balanced number: got %d of 8 bytes" % len(data))
@@ -275,4 +251,4 @@ def read(stream) -> BalancedNumber:
         return ZERO
     if not 0.5 <= abs(sig) < 1.0:
         raise DecodeFault("significand %r outside canonical range" % (sig,))
-    return BalancedNumber(sig, exp)
+    return (sig, exp)

@@ -1,27 +1,28 @@
 """Fixed-point log-domain probabilities with table-driven addition.
 
-A probability p is stored as the unsigned integer code
-round(-scale * ln(p)), so code 0 is exactly 1, larger codes are smaller
-probabilities, and the all-ones code is reserved as the sentinel for
-exactly 0.  Multiplication is one integer addition (saturating to the
-sentinel when the product collapses below the representable range).
+A probability p is stored as the unsigned 32-bit integer code
+round(-SCALE * ln(p)) with SCALE = 2**16, so code 0 is exactly 1, larger
+codes are smaller probabilities, and the all-ones code SENTINEL is
+reserved for exactly 0.  Every nonzero double has a code below it: the
+smallest, 5e-324, encodes to 48,787,625.  The codes reach probabilities
+down to about 10**-28462.  Multiplication is one integer addition
+(saturating to the sentinel when the product collapses below the
+representable range).
 
-Addition uses the classic log-sum trick: with lo/hi the smaller/larger
-code and d their difference,
+Addition uses the classic log-sum trick (Kingsbury & Rayner 1971): with
+lo/hi the smaller/larger code and d their difference,
 
-    result = lo - round(scale * ln(1 + exp(-d / scale)))
+    result = lo - round(SCALE * ln(1 + exp(-d / SCALE)))
 
-and the correction term is precomputed for every d up to the point
-where it rounds to zero, so adds stay integer-only.  The table is one
-packed array of signed 4-byte ints rather than a list of Python ints, so
-that it stays cache-resident: at the default scale its 772,245 entries
+and the correction term CORR[d] is precomputed at import for every d up
+to D_MAX, the point where it rounds to zero, so adds stay integer-only.
+The table is one packed array of signed 4-byte ints rather than a list
+of Python ints, so that it stays cache-resident: its 772,245 entries
 take 3.1 MB, where the list's 8-byte slots and int objects took about
 18 MB, and a lookup reads 4 bytes where the list read a slot and then,
-for corrections above 256, a separate int object.  The default width
-is 32 bits with scale 2**16, which reaches probabilities down to about
-10**-28462; widths 8 and 16 are available with proportionally smaller
-scales.  Width 64 is not offered: its correction table would need on
-the order of 10**11 entries.
+for corrections above 256, a separate int object.  Wider codes are not
+offered: a 64-bit code's table would need on the order of 10**11
+entries.
 """
 
 import math
@@ -32,11 +33,9 @@ import numpy as np
 from . import wire
 from .errors import DomainFault
 
-DEFAULT_WIDTH = 32
-_DEFAULT_SCALES = {8: 1 << 4, 16: 1 << 8, 32: 1 << 16}
-
-DEFAULT_SCALE = _DEFAULT_SCALES[DEFAULT_WIDTH]
-SENTINEL = (1 << DEFAULT_WIDTH) - 1
+WIDTH = 32
+SCALE = 1 << 16
+SENTINEL = (1 << WIDTH) - 1
 
 
 def _build_correction_table(scale: int) -> array:
@@ -56,135 +55,72 @@ def _build_correction_table(scale: int) -> array:
     return array("i", x[: int(zeros[0]) + 1].tobytes())
 
 
-class FixedLogCodec:
-    """Code arithmetic for one (width, scale) configuration.
-
-    mul and add are built as closures over the sentinel and correction
-    table so the hot path carries no attribute lookups.  `corr` is one
-    packed `array('i')` of signed 4-byte ints (numpy's intc), kept small
-    so that it stays in cache: 3.1 MB at the default scale against about
-    18 MB as a list of Python ints.
-    """
-
-    def __init__(self, width: int = DEFAULT_WIDTH, scale: int | None = None):
-        if width not in _DEFAULT_SCALES:
-            raise DomainFault("width must be 8, 16, or 32 bits, got %r" % width)
-        if scale is None:
-            scale = _DEFAULT_SCALES[width]
-        if scale < 1:
-            raise DomainFault("scale must be positive, got %r" % scale)
-        self.width = width
-        self.scale = scale
-        self.sentinel = (1 << width) - 1
-        self.corr = _build_correction_table(scale)
-        self.d_max = len(self.corr) - 1
-
-        sentinel = self.sentinel
-        corr = self.corr
-        d_max = self.d_max
-
-        def mul(a: int, b: int) -> int:
-            """Code addition; saturates to the sentinel (probability 0) on overflow.
-
-            A sentinel operand needs no special case: codes are
-            nonnegative, so its sum already lands at or past the
-            sentinel and saturates to exact zero.
-            """
-            total = a + b
-            return total if total < sentinel else sentinel
-
-        def add(a: int, b: int) -> int:
-            """Table-corrected log-sum; sums past probability 1 clamp to code 0.
-
-            After the swap a <= b, so a sentinel operand is b: it takes no
-            correction and the sum is a.  Past the table (d > d_max) the
-            correction is 0 and a needs no clamp.
-            """
-            if a > b:
-                a, b = b, a
-            d = b - a
-            if d <= d_max and b != sentinel:
-                a -= corr[d]
-                return a if a > 0 else 0
-            return a
-
-        self.mul = mul
-        self.add = add
-
-    def from_real(self, p: float) -> int:
-        """Encode a probability in [0, 1]; zero maps to the sentinel."""
-        if not 0.0 <= p <= 1.0:
-            raise DomainFault("probability %r outside [0, 1]" % (p,))
-        if p == 0.0:
-            return self.sentinel
-        code = round(-self.scale * math.log(p))
-        return code if code < self.sentinel else self.sentinel - 1
-
-    def to_real(self, code: int) -> float:
-        if code == self.sentinel:
-            return 0.0
-        return math.exp(-code / self.scale)
-
-    def div(self, a: int, b: int) -> int:
-        """Code subtraction clamped at 0 (quotients cap at probability 1)."""
-        if b == self.sentinel:
-            raise DomainFault("division by probability zero")
-        if a == self.sentinel:
-            return self.sentinel
-        diff = a - b
-        return diff if diff > 0 else 0
-
-    def cmp(self, a: int, b: int) -> int:
-        """Order by probability: the smaller code is the larger value."""
-        if a == b:
-            return 0
-        return 1 if a < b else -1
-
-    def write(self, stream, code: int) -> None:
-        wire.write_uint(stream, code, self.width // 8)
-
-    def read(self, stream) -> int:
-        return wire.read_uint(stream, self.width // 8)
-
-
-_default_codec: FixedLogCodec | None = None
-
-
-def default_codec() -> FixedLogCodec:
-    """Shared 32-bit codec; the correction table builds on first use."""
-    global _default_codec
-    if _default_codec is None:
-        _default_codec = FixedLogCodec()
-    return _default_codec
+CORR = _build_correction_table(SCALE)
+D_MAX = len(CORR) - 1
 
 
 def from_real(p: float) -> int:
-    return default_codec().from_real(p)
+    """Encode a probability in [0, 1]; zero maps to the sentinel."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainFault("probability %r outside [0, 1]" % (p,))
+    if p == 0.0:
+        return SENTINEL
+    return round(-SCALE * math.log(p))
 
 
 def to_real(code: int) -> float:
-    return default_codec().to_real(code)
+    if code == SENTINEL:
+        return 0.0
+    return math.exp(-code / SCALE)
 
 
 def mul(a: int, b: int) -> int:
-    return default_codec().mul(a, b)
+    """Code addition; saturates to the sentinel (probability 0) on overflow.
+
+    A sentinel operand needs no special case: codes are nonnegative, so
+    its sum already lands at or past the sentinel and saturates to
+    exact zero.
+    """
+    total = a + b
+    return total if total < SENTINEL else SENTINEL
 
 
 def add(a: int, b: int) -> int:
-    return default_codec().add(a, b)
+    """Table-corrected log-sum; sums past probability 1 clamp to code 0.
+
+    After the swap a <= b, so a sentinel operand is b: it takes no
+    correction and the sum is a.  Past the table (d > D_MAX) the
+    correction is 0 and a needs no clamp.
+    """
+    if a > b:
+        a, b = b, a
+    d = b - a
+    if d <= D_MAX and b != SENTINEL:
+        a -= CORR[d]
+        return a if a > 0 else 0
+    return a
 
 
 def div(a: int, b: int) -> int:
-    return default_codec().div(a, b)
+    """Code subtraction clamped at 0 (quotients cap at probability 1)."""
+    if b == SENTINEL:
+        raise DomainFault("division by probability zero")
+    if a == SENTINEL:
+        return SENTINEL
+    diff = a - b
+    return diff if diff > 0 else 0
 
 
 def cmp(a: int, b: int) -> int:
-    return default_codec().cmp(a, b)
+    """Order by probability: the smaller code is the larger value."""
+    if a == b:
+        return 0
+    return 1 if a < b else -1
 
 
 def write(stream, code: int) -> None:
-    default_codec().write(stream, code)
+    wire.write_uint(stream, code, WIDTH // 8)
 
 
 def read(stream) -> int:
-    return default_codec().read(stream)
+    return wire.read_uint(stream, WIDTH // 8)

@@ -5,9 +5,10 @@ uniform callables, so the same algorithm, conformance suite, or
 benchmark can run against native doubles, the log-domain double type,
 the extended-exponent type, or the fixed-point log type by swapping a
 descriptor.  Backend values are opaque: floats for double and logpr,
-integer codes for fixedlog, and plain (significand, exponent) tuples for
-balanced, which its descriptor computes on through the balanced module's
-operation bodies.
+integer codes for fixedlog, and (significand, exponent) tuples for
+balanced.  The logpr, balanced and fixedlog descriptors bind their
+module's own functions wherever the module's rule is already the
+probability rule below.
 
 Every descriptor follows one rule.  Values are probabilities: `from_real`
 raises DomainFault for any input outside [0, 1], NaN included; `add` and
@@ -131,11 +132,11 @@ def _balanced_to_real(b):
 
 
 def _balanced_div(a, b):
-    """balanced's div body clamped at one, tested before dividing so no quotient leaves the exponent range."""
+    """balanced.div clamped at one, tested before dividing so no quotient leaves the exponent range."""
     significand, _ = b
     if significand != 0.0 and balanced.cmp(a, b) >= 0:
         return (0.5, 1)
-    return balanced._div(a, b)
+    return balanced.div(a, b)
 
 
 def _balanced_neg_ln(b):
@@ -146,18 +147,14 @@ def _balanced_neg_ln(b):
 
 
 def balanced_backend() -> PrBackend:
-    """The extended-exponent type as a probability view over balanced's operation bodies.
-
-    Values are plain (significand, exponent) tuples, not BalancedNumber:
-    CPython specializes unpacking and building only for exact tuples.
-    """
+    """The extended-exponent type as a probability view: balanced's own values, mul and cmp."""
     return PrBackend(
         name="balanced",
-        zero=(0.0, 0),
-        one=(0.5, 1),
+        zero=balanced.ZERO,
+        one=balanced.ONE,
         from_real=_balanced_from_real,
         to_real=_balanced_to_real,
-        mul=balanced._mul,
+        mul=balanced.mul,
         div=_balanced_div,
         add=balanced._probability_add,
         cmp=balanced.cmp,
@@ -167,19 +164,18 @@ def balanced_backend() -> PrBackend:
 
 
 def fixedlog_backend() -> PrBackend:
-    codec = fixedlog.default_codec()
     return PrBackend(
         name="fixedlog",
-        zero=codec.sentinel,
+        zero=fixedlog.SENTINEL,
         one=0,
-        from_real=codec.from_real,
-        to_real=codec.to_real,
-        mul=codec.mul,
-        div=codec.div,
-        add=codec.add,
-        cmp=codec.cmp,
-        neg_ln=lambda c: math.inf if c == codec.sentinel else c / codec.scale,
-        ln_tolerance=0.5 / codec.scale,
+        from_real=fixedlog.from_real,
+        to_real=fixedlog.to_real,
+        mul=fixedlog.mul,
+        div=fixedlog.div,
+        add=fixedlog.add,
+        cmp=fixedlog.cmp,
+        neg_ln=lambda c: math.inf if c == fixedlog.SENTINEL else c / fixedlog.SCALE,
+        ln_tolerance=0.5 / fixedlog.SCALE,
     )
 
 

@@ -30,7 +30,7 @@ from pakit import (
     symbol_spec,
 )
 
-SCALE = fixedlog.DEFAULT_SCALE
+SCALE = fixedlog.SCALE
 
 
 def announce(criterion, detail=""):

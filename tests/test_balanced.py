@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pakit import balanced
-from pakit.balanced import ZERO, BalancedNumber
+from pakit.balanced import ZERO
 from pakit.errors import (
     DecodeFault,
     DomainFault,
@@ -21,18 +21,19 @@ from pakit.errors import (
 
 
 def is_canonical(b):
-    if b.significand == 0.0:
-        return b.exponent == 0 and math.copysign(1.0, b.significand) > 0
-    if not 0.5 <= abs(b.significand) < 1.0:
+    significand, exponent = b
+    if significand == 0.0:
+        return exponent == 0 and math.copysign(1.0, significand) > 0
+    if not 0.5 <= abs(significand) < 1.0:
         return False
     # significand must already be single precision
-    return struct.unpack("f", struct.pack("f", b.significand))[0] == b.significand
+    return struct.unpack("f", struct.pack("f", significand))[0] == significand
 
 
 def test_from_real_examples():
-    assert balanced.from_real(0.0) == BalancedNumber(0.0, 0)
-    assert balanced.from_real(3.0) == BalancedNumber(0.75, 2)
-    assert balanced.from_real(-1.0) == BalancedNumber(-0.5, 1)
+    assert balanced.from_real(0.0) == (0.0, 0)
+    assert balanced.from_real(3.0) == (0.75, 2)
+    assert balanced.from_real(-1.0) == (-0.5, 1)
 
 
 def test_from_real_rejects_non_finite():
@@ -41,16 +42,23 @@ def test_from_real_rejects_non_finite():
             balanced.from_real(bad)
 
 
+def test_from_real_of_an_int_past_the_double_range_is_an_overflow_fault():
+    assert balanced.from_real(2**1023) == (0.5, 1024)
+    for big in (10**400, -(10**400), 2**1024):
+        with pytest.raises(OverflowFault):
+            balanced.from_real(big)
+
+
 def test_to_real_examples():
-    assert balanced.to_real(BalancedNumber(0.75, 2)) == 3.0
+    assert balanced.to_real((0.75, 2)) == 3.0
     assert balanced.to_real(ZERO) == 0.0
 
 
 def test_to_real_out_of_double_range_faults():
     with pytest.raises(OverflowFault):
-        balanced.to_real(BalancedNumber(0.5, 5000))
+        balanced.to_real((0.5, 5000))
     with pytest.raises(UnderflowFault):
-        balanced.to_real(BalancedNumber(0.5, -5000))
+        balanced.to_real((0.5, -5000))
 
 
 def test_roundtrip_single_precision_quality():
@@ -64,9 +72,9 @@ def test_roundtrip_single_precision_quality():
 
 
 def test_mul_example():
-    a = BalancedNumber(0.75, 2)  # 3
-    b = BalancedNumber(0.5, 1)  # 1
-    assert balanced.mul(a, b) == BalancedNumber(0.75, 2)
+    a = (0.75, 2)  # 3
+    b = (0.5, 1)  # 1
+    assert balanced.mul(a, b) == (0.75, 2)
 
 
 def test_mul_by_zero_absorbs():
@@ -80,17 +88,18 @@ def test_tenth_power_of_1e_minus_300():
     power = base
     for _ in range(9):
         power = balanced.mul(power, base)
-    assert -9967 <= power.exponent <= -9964  # value around 2**-9965.8
+    _, exponent = power
+    assert -9967 <= exponent <= -9964  # value around 2**-9965.8
     with mpmath.workdps(60):
         oracle = 10 * mpmath.log(mpmath.mpf(1e-300))
         assert abs(balanced.ln_abs(power) - float(oracle)) <= 1e-4
 
 
 def test_mul_exponent_overflow_faults():
-    giant = BalancedNumber(0.5, (1 << 31) - 1)
+    giant = (0.5, (1 << 31) - 1)
     with pytest.raises(RangeFault):
         balanced.mul(giant, giant)
-    tiny = BalancedNumber(0.5, -(1 << 31))
+    tiny = (0.5, -(1 << 31))
     with pytest.raises(RangeFault):
         balanced.mul(tiny, tiny)
 
@@ -106,12 +115,12 @@ def test_div():
 
 def test_add_examples():
     one = balanced.from_real(1.0)
-    assert balanced.add(one, one) == BalancedNumber(0.5, 2)
+    assert balanced.add(one, one) == (0.5, 2)
 
 
 def test_add_absorbs_below_alignment_window():
-    big = BalancedNumber(0.5, 0)
-    small = BalancedNumber(0.5, -60)
+    big = (0.5, 0)
+    small = (0.5, -60)
     assert balanced.add(big, small) == big
     assert balanced.add(small, big) == big
 
@@ -130,7 +139,7 @@ def test_sub_and_neg():
 
 
 def test_cmp_exponent_dominates():
-    assert balanced.cmp(BalancedNumber(0.5, 100), BalancedNumber(0.9, 99)) == 1
+    assert balanced.cmp((0.5, 100), (0.9, 99)) == 1
 
 
 def test_cmp_sign_dominates():
@@ -247,13 +256,13 @@ def test_serialization_roundtrip():
 
 
 def test_serialization_of_extreme_exponents():
-    huge = BalancedNumber(0.9, 2_000_000_000)
+    huge = (0.9, 2_000_000_000)
     stream = BytesIO()
     balanced.write(stream, huge)
-    loaded = balanced.read(BytesIO(stream.getvalue()))
+    significand, exponent = balanced.read(BytesIO(stream.getvalue()))
     # significand rounds to single on write; exponent is exact
-    assert loaded.exponent == huge.exponent
-    assert abs(loaded.significand - 0.9) < 1e-7
+    assert exponent == 2_000_000_000
+    assert abs(significand - 0.9) < 1e-7
 
 
 def test_write_of_computed_values_is_unchanged():
@@ -299,7 +308,7 @@ def oracle_round_single(x: float) -> float:
     return _ORACLE_PACK_F32.unpack(_ORACLE_PACK_F32.pack(x))[0]
 
 
-def oracle_canonical(sig: float, exp: int) -> BalancedNumber:
+def oracle_canonical(sig: float, exp: int) -> tuple:
     if sig == 0.0:
         return ZERO
     m, shift = math.frexp(sig)
@@ -310,47 +319,50 @@ def oracle_canonical(sig: float, exp: int) -> BalancedNumber:
         exp += 1
     if not _ORACLE_EXP_MIN <= exp <= _ORACLE_EXP_MAX:
         raise RangeFault("exponent %d outside 32-bit range" % exp)
-    return BalancedNumber(m, exp)
+    return (m, exp)
 
 
-def oracle_from_real(x: float) -> BalancedNumber:
+def oracle_from_real(x: float) -> tuple:
     if not math.isfinite(x):
         raise DomainFault("cannot represent non-finite value %r" % (x,))
     return oracle_canonical(x, 0)
 
 
-def oracle_mul(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
-    if a.significand == 0.0 or b.significand == 0.0:
+def oracle_mul(a: tuple, b: tuple) -> tuple:
+    (sa, ea), (sb, eb) = a, b
+    if sa == 0.0 or sb == 0.0:
         return ZERO
-    return oracle_canonical(a.significand * b.significand, a.exponent + b.exponent)
+    return oracle_canonical(sa * sb, ea + eb)
 
 
-def oracle_div(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
-    if b.significand == 0.0:
+def oracle_div(a: tuple, b: tuple) -> tuple:
+    (sa, ea), (sb, eb) = a, b
+    if sb == 0.0:
         raise DomainFault("division by zero")
-    if a.significand == 0.0:
+    if sa == 0.0:
         return ZERO
-    return oracle_canonical(a.significand / b.significand, a.exponent - b.exponent)
+    return oracle_canonical(sa / sb, ea - eb)
 
 
-def oracle_add(a: BalancedNumber, b: BalancedNumber) -> BalancedNumber:
-    if a.significand == 0.0:
+def oracle_add(a: tuple, b: tuple) -> tuple:
+    (sa, ea), (sb, eb) = a, b
+    if sa == 0.0:
         return b
-    if b.significand == 0.0:
+    if sb == 0.0:
         return a
-    diff = a.exponent - b.exponent
+    diff = ea - eb
     if diff > _ORACLE_ALIGN_CUTOFF:
         return a
     if diff < -_ORACLE_ALIGN_CUTOFF:
         return b
     if diff >= 0:
-        hi, lo = a, b
+        (s_hi, e_hi), (s_lo, e_lo) = a, b
     else:
-        hi, lo = b, a
-    total = hi.significand + math.ldexp(lo.significand, lo.exponent - hi.exponent)
+        (s_hi, e_hi), (s_lo, e_lo) = b, a
+    total = s_hi + math.ldexp(s_lo, e_lo - e_hi)
     if total == 0.0:
         return ZERO
-    return oracle_canonical(total, hi.exponent)
+    return oracle_canonical(total, e_hi)
 
 
 def outcome(operation, *operands):
@@ -359,7 +371,7 @@ def outcome(operation, *operands):
         result = operation(*operands)
     except (DomainFault, RangeFault) as fault:
         return type(fault)
-    assert type(result) is BalancedNumber
+    assert type(result) is tuple
     significand, exponent = result
     return struct.pack(">d", significand), exponent
 
@@ -384,7 +396,7 @@ signs = st.sampled_from([1.0, -1.0])
 
 
 def numbers(magnitudes):
-    nonzero = st.builds(lambda m, s, e: BalancedNumber(s * m, e), magnitudes, signs, exponents)
+    nonzero = st.builds(lambda m, s, e: (s * m, e), magnitudes, signs, exponents)
     return st.one_of(st.just(ZERO), nonzero, nonzero, nonzero)
 
 
@@ -392,8 +404,7 @@ canonical_numbers = numbers(single_magnitudes)
 in_band_numbers = numbers(st.one_of(single_magnitudes, double_magnitudes))
 # any significand but NaN, outside the band too: every operation falls
 # back to frexp there and must still agree with the oracle
-any_numbers = st.builds(
-    BalancedNumber,
+any_numbers = st.tuples(
     st.floats(allow_nan=False),
     st.integers(_ORACLE_EXP_MIN - 2, _ORACLE_EXP_MAX + 2),
 )
@@ -416,16 +427,16 @@ def test_operation_matches_oracle_bit_for_bit(operation, oracle, operands, data)
 def test_edge_operands_match_oracle():
     edges = [
         ZERO,
-        BalancedNumber(-0.0, 0),
-        BalancedNumber(0.5, 0),
-        BalancedNumber(-(1.0 - 2.0**-24), 3),
-        BalancedNumber(1.0, 0),
-        BalancedNumber(5e-324, 0),
-        BalancedNumber(sys.float_info.max, 0),
-        BalancedNumber(math.inf, 0),
-        BalancedNumber(-math.inf, 0),
-        BalancedNumber(0.75, _ORACLE_EXP_MAX),
-        BalancedNumber(-0.75, _ORACLE_EXP_MIN),
+        (-0.0, 0),
+        (0.5, 0),
+        (-(1.0 - 2.0**-24), 3),
+        (1.0, 0),
+        (5e-324, 0),
+        (sys.float_info.max, 0),
+        (math.inf, 0),
+        (-math.inf, 0),
+        (0.75, _ORACLE_EXP_MAX),
+        (-0.75, _ORACLE_EXP_MIN),
     ]
     for operation, oracle in ((balanced.mul, oracle_mul), (balanced.div, oracle_div), (balanced.add, oracle_add)):
         for a in edges:
@@ -441,7 +452,8 @@ def test_edge_operands_match_oracle():
     st.sampled_from([-27, -26, -25, -24, 24, 25, 26, 27]),
 )
 def test_add_at_the_alignment_cutoff_matches_oracle(a, magnitude, sign, gap):
-    b = BalancedNumber(sign * magnitude, a.exponent - gap)
+    _, exponent = a
+    b = (sign * magnitude, exponent - gap)
     assert outcome(balanced.add, a, b) == outcome(oracle_add, a, b)
     assert outcome(balanced.add, b, a) == outcome(oracle_add, b, a)
 
@@ -449,7 +461,8 @@ def test_add_at_the_alignment_cutoff_matches_oracle(a, magnitude, sign, gap):
 @settings(max_examples=400)
 @given(canonical_numbers, st.one_of(single_magnitudes, double_magnitudes), st.integers(-1, 1))
 def test_add_cancellation_matches_oracle(a, magnitude, shift):
-    opposite = BalancedNumber(-math.copysign(magnitude, a.significand), a.exponent + shift)
+    significand, exponent = a
+    opposite = (-math.copysign(magnitude, significand), exponent + shift)
     assert outcome(balanced.add, a, opposite) == outcome(oracle_add, a, opposite)
     assert outcome(balanced.add, a, balanced.neg(a)) == outcome(oracle_add, a, balanced.neg(a))
 
@@ -470,13 +483,13 @@ def test_from_real_matches_oracle_bit_for_bit(x):
 
 
 def test_oracle_strategies_reach_the_carry_and_the_range_faults():
-    top = BalancedNumber(1.0 - 2.0**-40, 0)
-    assert balanced.mul(top, top) == oracle_mul(top, top) == BalancedNumber(0.5, 1)
-    carry = BalancedNumber(1.0 - 2.0**-24, 0), BalancedNumber(0.5, -24)
-    assert balanced.add(*carry) == oracle_add(*carry) == BalancedNumber(0.5, 1)
-    assert balanced.from_real(1.0 - 2.0**-26) == BalancedNumber(0.5, 1)
-    edge = BalancedNumber(1.0 - 2.0**-24, _ORACLE_EXP_MAX)
+    top = (1.0 - 2.0**-40, 0)
+    assert balanced.mul(top, top) == oracle_mul(top, top) == (0.5, 1)
+    carry = (1.0 - 2.0**-24, 0), (0.5, -24)
+    assert balanced.add(*carry) == oracle_add(*carry) == (0.5, 1)
+    assert balanced.from_real(1.0 - 2.0**-26) == (0.5, 1)
+    edge = (1.0 - 2.0**-24, _ORACLE_EXP_MAX)
     with pytest.raises(RangeFault):
-        balanced.add(edge, BalancedNumber(0.5, _ORACLE_EXP_MAX - 24))
+        balanced.add(edge, (0.5, _ORACLE_EXP_MAX - 24))
     with pytest.raises(RangeFault):
-        balanced.div(BalancedNumber(0.5, _ORACLE_EXP_MIN), BalancedNumber(0.75, 1))
+        balanced.div((0.5, _ORACLE_EXP_MIN), (0.75, 1))

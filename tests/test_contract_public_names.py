@@ -3,13 +3,19 @@
 A machine that reads a private attribute or imports a private name
 would pin the representation it was meant to leave free, so each one
 is parsed and every attribute and imported name that starts with `_`
-and is not a dunder is refused.
+and is not a dunder is refused.  Every `accounting.Container` subclass
+that `pakit` exports has a machine, named after its class
+(`UnigramTable` has `test_unigram_table_contract.py`).
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+import pakit
+from pakit import accounting
 
 CONTRACTS = sorted(Path(__file__).parent.glob("test_*_contract.py"))
 
@@ -34,10 +40,28 @@ def private_names(source: str) -> list:
     return sorted(found)
 
 
+def machine_name(container: type) -> str:
+    """The file of a container's machine: `CompactTable` has `test_compact_table_contract.py`."""
+    return "test_%s_contract.py" % re.sub(r"(?<!^)(?=[A-Z])", "_", container.__name__).lower()
+
+
+def exported_containers() -> list:
+    """Every `accounting.Container` subclass that `pakit` exports."""
+    exported = [getattr(pakit, name) for name in pakit.__all__]
+    return [item for item in exported if isinstance(item, type) and issubclass(item, accounting.Container)]
+
+
 def test_every_container_has_a_contract_machine():
-    assert {path.name for path in CONTRACTS} >= {
-        "test_hash_table_contract.py", "test_compact_table_contract.py", "test_vector_contract.py",
-    }
+    containers = exported_containers()
+    assert pakit.UnigramTable in containers
+    missing = {machine_name(container) for container in containers} - {path.name for path in CONTRACTS}
+    assert missing == set()
+
+
+def test_a_container_without_a_machine_is_missed():
+    assert machine_name(pakit.CompactTable) == "test_compact_table_contract.py"
+    radix_tree = type("RadixTree", (accounting.Container,), {})
+    assert machine_name(radix_tree) not in {path.name for path in CONTRACTS}
 
 
 @pytest.mark.parametrize("path", CONTRACTS, ids=lambda path: path.stem)

@@ -13,9 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from pakit import fixedlog, wire
 from pakit.errors import DecodeFault, DomainFault
-from pakit.fixedlog import _DEFAULT_SCALES, SENTINEL, FixedLogCodec, default_codec
-
-SCALE = fixedlog.DEFAULT_SCALE
+from pakit.fixedlog import CORR, D_MAX, SCALE, SENTINEL
 
 
 def test_one_maps_to_code_zero():
@@ -43,10 +41,9 @@ def test_out_of_domain_faults():
         fixedlog.from_real(math.nan)
 
 
-def test_tiny_probability_clamps_below_sentinel():
-    codec = FixedLogCodec(width=8)
-    # smaller than any representable code for width 8 / scale 16
-    assert codec.from_real(1e-12) == codec.sentinel - 1
+def test_smallest_double_encodes_below_sentinel():
+    # every nonzero double has a code below the sentinel, so from_real needs no clamp
+    assert fixedlog.from_real(5e-324) == 48_787_625 < SENTINEL
 
 
 def test_roundtrip_quantization_bound():
@@ -162,33 +159,29 @@ def test_div_is_clamped_code_subtraction():
 
 
 def test_correction_table_endpoints():
-    codec = default_codec()
-    assert codec.corr[0] == 45426  # round(scale * ln 2)
-    assert codec.corr[-1] == 0
-    assert codec.d_max == len(codec.corr) - 1
+    assert CORR[0] == 45426  # round(scale * ln 2)
+    assert CORR[-1] == 0
+    assert D_MAX == len(CORR) - 1
 
 
 def test_correction_table_is_nonincreasing():
-    corr = np.asarray(default_codec().corr)
-    assert (np.diff(corr) <= 0).all()
+    assert (np.diff(np.asarray(CORR)) <= 0).all()
 
 
 def test_correction_table_matches_direct_evaluation():
     # independent recomputation through log instead of log1p
-    codec = default_codec()
-    d = np.arange(len(codec.corr), dtype=np.float64)
-    direct = np.rint(codec.scale * np.log(1.0 + np.exp(-d / codec.scale)))
-    assert np.array_equal(direct.astype(np.int64), np.asarray(codec.corr))
+    d = np.arange(len(CORR), dtype=np.float64)
+    direct = np.rint(SCALE * np.log(1.0 + np.exp(-d / SCALE)))
+    assert np.array_equal(direct.astype(np.int64), np.asarray(CORR))
 
 
 def test_correction_table_sampled_against_mpmath():
-    codec = default_codec()
     rng = random.Random(76)
-    sample = [0, codec.d_max] + [rng.randrange(codec.d_max) for _ in range(500)]
+    sample = [0, D_MAX] + [rng.randrange(D_MAX) for _ in range(500)]
     with mpmath.workdps(50):
         for d in sample:
-            exact = codec.scale * mpmath.log(1 + mpmath.e ** (mpmath.mpf(-d) / codec.scale))
-            assert codec.corr[d] == int(mpmath.nint(exact))
+            exact = SCALE * mpmath.log(1 + mpmath.e ** (mpmath.mpf(-d) / SCALE))
+            assert CORR[d] == int(mpmath.nint(exact))
 
 
 def test_thousand_product_accuracy():
@@ -200,22 +193,6 @@ def test_thousand_product_accuracy():
     with mpmath.workdps(60):
         oracle = -mpmath.fsum(mpmath.log(mpmath.mpf(p)) for p in values)
         assert abs(accumulator / SCALE - float(oracle)) <= 1000 * 0.5 / SCALE
-
-
-def test_narrow_widths_roundtrip():
-    for width in (8, 16):
-        codec = FixedLogCodec(width=width)
-        assert codec.sentinel == (1 << width) - 1
-        assert codec.from_real(1.0) == 0
-        assert codec.from_real(0.0) == codec.sentinel
-        p = 0.3
-        assert abs(math.log(codec.to_real(codec.from_real(p))) - math.log(p)) <= 0.5 / codec.scale
-        assert codec.add(codec.from_real(0.5), codec.from_real(0.5)) == 0
-
-
-def test_width_64_is_refused():
-    with pytest.raises(DomainFault):
-        FixedLogCodec(width=64)
 
 
 def test_serialization_roundtrip():
@@ -230,44 +207,32 @@ def test_serialization_roundtrip():
         assert second.getvalue() == data
 
 
-def test_serialization_widths():
-    codec = FixedLogCodec(width=16)
-    stream = BytesIO()
-    codec.write(stream, 1234)
-    assert len(stream.getvalue()) == 2
-    assert codec.read(BytesIO(stream.getvalue())) == 1234
-
-
 def test_read_truncated_faults():
     with pytest.raises(DecodeFault):
         fixedlog.read(BytesIO(b"\x00\x00"))
 
 
 def test_correction_table_is_one_packed_array():
-    codec = default_codec()
-    assert isinstance(codec.corr, array)
-    assert codec.corr.itemsize == 4
-    assert len(codec.corr) == codec.d_max + 1
+    assert isinstance(CORR, array)
+    assert CORR.itemsize == 4
+    assert len(CORR) == D_MAX + 1
 
 
 @pytest.mark.parametrize(
     "width, digest",
-    [
-        (8, "ae17bccb3ba35a3bac7eb0faed0e5540e3283dc6882612b37a3fbdd65cc65c32"),
-        (16, "86fd59ed5bdf43cfaeac021756975dbae15ff69528d469624bb3968bb675964d"),
-        (32, "10d87fda52c3f616510d2610af675843a6c93706e0cbd740d62aa2c52894cf74"),
-    ],
+    [(32, "10d87fda52c3f616510d2610af675843a6c93706e0cbd740d62aa2c52894cf74")],
 )
 def test_correction_table_bytes_are_pinned(width, digest):
-    assert hashlib.sha256(FixedLogCodec(width).corr.tobytes()).hexdigest() == digest
+    assert width == fixedlog.WIDTH
+    assert hashlib.sha256(CORR.tobytes()).hexdigest() == digest
 
 
 def test_default_codec_build_peak_stays_below_10_mb():
-    # The default table keeps 3.1 MB; the build holds one float64 array
-    # of its 772,308 candidates (6.2 MB) at a time.
+    # The table keeps 3.1 MB; the build holds one float64 array of its
+    # 772,308 candidates (6.2 MB) at a time.
     tracemalloc.start()
     try:
-        FixedLogCodec()
+        fixedlog._build_correction_table(SCALE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -285,14 +250,17 @@ def _oracle_correction_table(scale: int) -> list[int]:
     return values[: int(zeros[0]) + 1].tolist()
 
 
-class OracleFixedLogCodec:
-    """FixedLogCodec as it was with a list-of-ints table, kept verbatim as the reference."""
+_ORACLE_DEFAULT_SCALES = {8: 1 << 4, 16: 1 << 8, 32: 1 << 16}
 
-    def __init__(self, width: int = fixedlog.DEFAULT_WIDTH, scale: int | None = None):
-        if width not in _DEFAULT_SCALES:
+
+class OracleFixedLogCodec:
+    """The codec class as it was with a list-of-ints table, kept verbatim as the reference."""
+
+    def __init__(self, width: int = 32, scale: int | None = None):
+        if width not in _ORACLE_DEFAULT_SCALES:
             raise DomainFault("width must be 8, 16, or 32 bits, got %r" % width)
         if scale is None:
-            scale = _DEFAULT_SCALES[width]
+            scale = _ORACLE_DEFAULT_SCALES[width]
         if scale < 1:
             raise DomainFault("scale must be positive, got %r" % scale)
         self.width = width
@@ -350,13 +318,13 @@ class OracleFixedLogCodec:
         wire.write_uint(stream, code, self.width // 8)
 
 
-WIDTHS = (8, 16, 32)
+WIDTHS = (fixedlog.WIDTH,)  # the module offers one code width; the oracle is compared at it
 
 
 @functools.cache
-def _codecs(width: int):
-    """(codec, oracle) for one width, built once: the 32-bit tables take a moment."""
-    return FixedLogCodec(width), OracleFixedLogCodec(width)
+def _oracle(width: int) -> OracleFixedLogCodec:
+    """The oracle for one width, built once: the 32-bit table takes a moment."""
+    return OracleFixedLogCodec(width)
 
 
 def _outcome(fn, *args):
@@ -372,49 +340,41 @@ def _written(codec, code: int) -> bytes:
     return stream.getvalue()
 
 
-def _assert_pairs_match(codec, oracle, pairs):
+def _assert_pairs_match(oracle, pairs):
     for a, b in pairs:
-        assert codec.add(a, b) == oracle.add(a, b), (a, b)
-        assert codec.mul(a, b) == oracle.mul(a, b), (a, b)
-        assert _outcome(codec.div, a, b) == _outcome(oracle.div, a, b), (a, b)
-        assert codec.cmp(a, b) == oracle.cmp(a, b), (a, b)
+        assert fixedlog.add(a, b) == oracle.add(a, b), (a, b)
+        assert fixedlog.mul(a, b) == oracle.mul(a, b), (a, b)
+        assert _outcome(fixedlog.div, a, b) == _outcome(oracle.div, a, b), (a, b)
+        assert fixedlog.cmp(a, b) == oracle.cmp(a, b), (a, b)
 
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_correction_table_matches_oracle(width):
-    codec, oracle = _codecs(width)
-    assert codec.corr.tolist() == oracle.corr
-    assert (codec.sentinel, codec.d_max) == (oracle.sentinel, oracle.d_max)
-
-
-def test_width_8_matches_oracle_on_every_pair():
-    codec, oracle = _codecs(8)
-    codes = range(codec.sentinel + 1)
-    _assert_pairs_match(codec, oracle, [(a, b) for a in codes for b in codes])
-    for code in codes:
-        assert _written(codec, code) == _written(oracle, code)
+    oracle = _oracle(width)
+    assert CORR.tolist() == oracle.corr
+    assert (SENTINEL, D_MAX, SCALE) == (oracle.sentinel, oracle.d_max, oracle.scale)
 
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_forced_cases_match_oracle(width):
-    codec, oracle = _codecs(width)
-    s, d_max = codec.sentinel, codec.d_max
+    oracle = _oracle(width)
+    s, d_max = SENTINEL, D_MAX
     edges = [0, 1, 2, s // 2, s - d_max - 2, s - d_max - 1, s - d_max, s - 2, s - 1]
     pairs = [(x, s) for x in edges] + [(s, x) for x in edges] + [(s, s)]  # sentinel operands
     pairs += [(x, x) for x in edges]  # d = 0
     for d in (d_max - 1, d_max, d_max + 1):
         pairs += [(x, x + d) for x in edges if x + d <= s] + [(x + d, x) for x in edges if x + d <= s]
     for d in (0, 1, 2, d_max // 2):  # lo < corr[d]: the sum clamps to code 0
-        pairs += [(lo, lo + d) for lo in (0, 1, codec.corr[d] - 1)]
-        pairs += [(lo + d, lo) for lo in (0, 1, codec.corr[d] - 1)]
-    assert any(codec.add(a, b) == 0 and 0 < min(a, b) for a, b in pairs)
-    _assert_pairs_match(codec, oracle, pairs)
+        pairs += [(lo, lo + d) for lo in (0, 1, CORR[d] - 1)]
+        pairs += [(lo + d, lo) for lo in (0, 1, CORR[d] - 1)]
+    assert any(fixedlog.add(a, b) == 0 and 0 < min(a, b) for a, b in pairs)
+    _assert_pairs_match(oracle, pairs)
 
 
 def _pairs(width: int):
     """Code pairs at a random distance or one near the table's edge, either order."""
     s = (1 << width) - 1
-    d_max = _codecs(width)[0].d_max
+    d_max = _oracle(width).d_max
     code = st.integers(0, s)
     distance = st.one_of(st.integers(0, d_max + 2), st.integers(d_max - 2, s), st.integers(0, 64))
     near = st.builds(lambda a, d: (a, min(a + d, s)), code, distance)
@@ -422,20 +382,19 @@ def _pairs(width: int):
     return st.lists(st.one_of(st.tuples(code, code), either_order), min_size=1, max_size=50)
 
 
-@pytest.mark.parametrize("width", (16, 32))
+@pytest.mark.parametrize("width", WIDTHS)
 @settings(max_examples=300)
 @given(data=st.data())
 def test_wide_codecs_match_oracle(width, data):
-    codec, oracle = _codecs(width)
+    oracle = _oracle(width)
     pairs = data.draw(_pairs(width))
-    _assert_pairs_match(codec, oracle, pairs)
+    _assert_pairs_match(oracle, pairs)
     for a, b in pairs:
-        assert _written(codec, a) == _written(oracle, a)
+        assert _written(fixedlog, a) == _written(oracle, a)
 
 
 @pytest.mark.parametrize("width", WIDTHS)
 @settings(max_examples=300)
-@given(p=st.one_of(st.floats(0.0, 1.0), st.floats()))
+@given(p=st.one_of(st.floats(0.0, 1.0), st.floats(), st.just(5e-324)))
 def test_from_real_matches_oracle(width, p):
-    codec, oracle = _codecs(width)
-    assert _outcome(codec.from_real, p) == _outcome(oracle.from_real, p)
+    assert _outcome(fixedlog.from_real, p) == _outcome(_oracle(width).from_real, p)

@@ -11,6 +11,7 @@ from hypothesis import example, given, strategies as st
 from pakit import balanced, bench, fixedlog, logpr, pr
 from pakit.balanced import ALIGN_CUTOFF
 from pakit.errors import DomainFault, RangeFault
+from test_balanced import oracle_mul
 
 
 def backend_ids():
@@ -96,8 +97,8 @@ def test_conformance_double_is_nearly_exact():
 def test_conformance_fixedlog_roundtrip_within_quantization():
     report = pr.conformance(pr.fixedlog_backend(), sample_count=10_000, seed=6)
     by_name = {check.name: check for check in report.checks}
-    assert by_name["roundtrip"].max_error <= 0.5 / fixedlog.DEFAULT_SCALE
-    assert by_name["roundtrip"].tolerance == 0.5 / fixedlog.DEFAULT_SCALE
+    assert by_name["roundtrip"].max_error <= 0.5 / fixedlog.SCALE
+    assert by_name["roundtrip"].tolerance == 0.5 / fixedlog.SCALE
 
 
 def test_conformance_balanced_chain_within_budget():
@@ -322,17 +323,14 @@ def test_balanced_view_results_are_exact_tuples():
         assert type(value) is tuple, value
 
 
-def _boxed(value):
-    return balanced.BalancedNumber(*value)
-
-
 def _clamped(value):
     return balanced.ONE if balanced.cmp(value, balanced.ONE) > 0 else value
 
 
-# the descriptor's rule written over the module's operations
+# the descriptor's rule written over the module's operations; the view
+# binds balanced.mul itself, so mul is written as the module's bit-exact oracle
 _MODULE_OPERATIONS = {
-    "mul": balanced.mul,
+    "mul": oracle_mul,
     "add": lambda a, b: _clamped(balanced.add(a, b)),
     "div": lambda a, b: balanced.ONE if balanced.cmp(a, b) >= 0 else balanced.div(a, b),
 }
@@ -360,7 +358,8 @@ def _outcome(operation, a, b):
 @given(canonical_probability, canonical_probability)
 @example((0.5, -(1 << 30)), (0.5, -(1 << 30)))  # the product's exponent leaves the 32-bit range
 def test_balanced_view_mul_matches_the_module(a, b):
-    assert _outcome(pr.balanced_backend().mul, a, b)[1] == _outcome(balanced.mul, _boxed(a), _boxed(b))[1]
+    # the view binds balanced.mul itself, so the reference is the module's bit-exact oracle
+    assert _outcome(pr.balanced_backend().mul, a, b)[1] == _outcome(oracle_mul, a, b)[1]
 
 
 @given(
@@ -369,12 +368,12 @@ def test_balanced_view_mul_matches_the_module(a, b):
 )
 def test_balanced_view_chains_match_the_module(start, steps):
     view = pr.balanced_backend()
-    value, reference = start, _boxed(start)
+    value, reference = start, start
     for name, operand in steps:
         if name == "div" and operand[0] == 0.0:
             continue
         value, bits = _outcome(getattr(view, name), value, operand)
-        reference, reference_bits = _outcome(_MODULE_OPERATIONS[name], reference, _boxed(operand))
+        reference, reference_bits = _outcome(_MODULE_OPERATIONS[name], reference, operand)
         assert bits == reference_bits, name
         if value is None:
             return
@@ -385,7 +384,7 @@ def test_balanced_view_add_matches_the_module_across_the_align_cutoff(sa, sb, ex
     a, b = (sa, exponent), (sb, exponent - gap)
     view = pr.balanced_backend()
     for x, y in ((a, b), (b, a)):
-        assert _bits(view.add(x, y)) == _bits(_clamped(balanced.add(_boxed(x), _boxed(y))))
+        assert _bits(view.add(x, y)) == _bits(_clamped(balanced.add(x, y)))
 
 
 # --- balanced from_real in one frame -----------------------------------------
