@@ -9,8 +9,7 @@ quantization and balanced by its single-precision rounding.
 
 from pakit import bench
 
-config = bench.BenchConfig(op_count=400_000, seed=7)
-results = bench.run(config)
+results = bench.run(op_count=400_000, seed=7)
 
 print(bench.format_text(results))
 print()

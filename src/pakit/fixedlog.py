@@ -65,7 +65,10 @@ def from_real(p: float) -> int:
         raise DomainFault("probability %r outside [0, 1]" % (p,))
     if p == 0.0:
         return SENTINEL
-    return round(-SCALE * math.log(p))
+    try:
+        return round(-SCALE * math.log(p))
+    except ValueError:  # a positive non-float, say Fraction(1, 10**400), that is 0.0 as a double
+        return SENTINEL
 
 
 def to_real(code: int) -> float:

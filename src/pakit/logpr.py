@@ -30,7 +30,10 @@ def from_real(p: float) -> float:
         raise DomainFault("probability %r outside [0, 1]" % (p,))
     if p == 0.0:
         return ZERO
-    return ONE - log(p)  # +0.0 at p = 1, where -log(p) would be -0.0
+    try:
+        return ONE - log(p)  # +0.0 at p = 1, where -log(p) would be -0.0
+    except ValueError:  # a positive non-float, say Fraction(1, 10**400), that is 0.0 as a double
+        return ZERO
 
 
 def to_real(x: float) -> float:

@@ -50,7 +50,7 @@ class PrBackend(NamedTuple):
 def _double_from_real(p):
     if not 0.0 <= p <= 1.0:
         raise DomainFault("probability %r outside [0, 1]" % (p,))
-    return p
+    return p + 0.0  # a float for any real, 0.0 for a Fraction below the double range
 
 
 def _double_add(a, b):

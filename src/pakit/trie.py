@@ -16,9 +16,9 @@ looking it up takes one dict lookup.  Any other argument is made a
 tuple, then packed, by `bytes()` at width 1 and by a `struct.Struct`
 cached per length at wider widths; a symbol that does not pack sends the
 string through the symbol check, which takes `6.0` as `6` and refuses
-`6.5`, negatives and symbols too wide.  The trie registers one
-accounting block.  Strings cannot be deleted: removal would punch holes
-in the dense numbering.
+`6.5`, anything that is not a number, negatives and symbols too wide.
+The trie registers one accounting block.  Strings cannot be deleted:
+removal would punch holes in the dense numbering.
 """
 
 import struct
@@ -82,7 +82,11 @@ class Trie(Container):
                     raise RangeFault("symbol %d does not fit in %d bytes" % (symbol, width))
         except TypeError:  # `>>` refuses floats: 6.0 stands for the symbol 6, and 6.5 for none
             for symbol in string:
-                if symbol % 1:
+                try:
+                    whole = int(symbol) == symbol
+                except (TypeError, ValueError, OverflowError):  # None, 'a', b'a', nan, inf
+                    whole = False
+                if not whole:
                     raise DomainFault("symbol %r is not an integer" % (symbol,)) from None
             return self._checked(tuple(map(int, string)))
         return tuple(map(int, string))

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from array import array
+from fractions import Fraction
 from io import BytesIO
 
 import mpmath
@@ -44,6 +45,11 @@ def test_out_of_domain_faults():
 def test_smallest_double_encodes_below_sentinel():
     # every nonzero double has a code below the sentinel, so from_real needs no clamp
     assert fixedlog.from_real(5e-324) == 48_787_625 < SENTINEL
+
+
+def test_a_positive_fraction_below_the_double_range_is_zero():
+    assert fixedlog.from_real(Fraction(1, 10**400)) == SENTINEL
+    assert fixedlog.from_real(Fraction(1, 2)) == 45426
 
 
 def test_roundtrip_quantization_bound():

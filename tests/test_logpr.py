@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+from fractions import Fraction
 from io import BytesIO
 
 import mpmath
@@ -28,6 +29,11 @@ def test_out_of_domain_faults():
         logpr.from_real(-0.1)
     with pytest.raises(DomainFault):
         logpr.from_real(math.nan)
+
+
+def test_a_positive_fraction_below_the_double_range_is_zero():
+    assert logpr.from_real(Fraction(1, 10**400)) == logpr.ZERO
+    assert logpr.from_real(Fraction(1, 2)) == math.log(2.0)
 
 
 def test_roundtrip_relative_error():

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import struct
+from fractions import Fraction
 from io import BytesIO
 
 import mpmath
@@ -221,6 +222,15 @@ def test_out_of_range_answers_are_the_same_on_every_backend(backend):
             f(p)
     with pytest.raises(DomainFault):
         backend.div(f(0.5), backend.zero)
+
+
+def test_a_positive_probability_below_the_double_range_is_zero(backend):
+    # it passes the exact [0, 1] test and is not == 0.0, yet it is 0.0 as a double
+    value = backend.from_real(Fraction(1, 10**400))
+    assert type(value) is type(backend.zero)
+    assert value == backend.zero
+    assert backend.neg_ln(value) == math.inf
+    assert type(backend.from_real(Fraction(1, 2))) is type(backend.one)
 
 
 def test_quotient_of_an_exact_one_never_raises(backend):

@@ -258,6 +258,22 @@ def test_integral_float_symbols_intern_as_ints():
     t.destroy()
 
 
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize(
+    "string",
+    ["abc", [None], [b"a"], [6.0, "a"], [float("nan")], [float("inf")]],
+    ids=["str", "None", "bytes", "float-then-str", "nan", "inf"],
+)
+def test_a_symbol_that_is_not_a_number_is_refused(width, string):
+    t = Trie(width)
+    for call in (t.index_of, t.find):
+        with pytest.raises(DomainFault, match=r"^symbol .+ is not an integer$"):
+            call(string)
+    assert len(t) == 0
+    assert t.find([6]) is None
+    t.destroy()
+
+
 @pytest.mark.representation
 def test_interned_strings_stay_small_in_real_bytes():
     # 10,500 draws give 9,698 distinct words; the node store held 4.38 MB for them
