@@ -16,7 +16,7 @@ joined = v.concat(other)
 print("concat:  ", list(joined), "(originals untouched:", len(v), "+", len(other), "elements)")
 
 print()
-print("== CompactTable: sorted pair array; a lookup bisects fence keys, then scans one block ==")
+print("== CompactTable: sorted pair array; a lookup probes a hash index of ranks ==")
 table = CompactTable(key_size=4, datum_size=8)
 for name, value in ((b"mass", 42), (b"reps", 3), (b"nose", 7)):
     table.insert(name, value.to_bytes(8, "big"))

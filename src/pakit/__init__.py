@@ -2,7 +2,8 @@
 
 Containers
     Vector        fixed-size elements in one contiguous buffer
-    CompactTable  sorted pair array, O(log n) lookup, minimal footprint
+    CompactTable  sorted pair array, expected O(1) lookup through a hash index of ranks,
+                  O(log n) rank search for insert and delete, minimal footprint
     Trie          interns symbol strings as dense integer indices
     HashTable     <key, datum> table over a dict; keys bring their own hash
     UnigramTable  frequency counters that widen from 1 to 8 bytes

@@ -1,8 +1,8 @@
 """Memory-minimal sorted association table.
 
 Entries live in one contiguous array of (key, datum) byte pairs kept
-strictly sorted by key, so lookups are O(log n) binary searches while
-inserts and deletes shift the tail in O(n).  Storage is always exactly
+strictly sorted by key, so inserts and deletes find their rank in
+O(log n) and shift the tail in O(n).  Storage is always exactly
 entry_count * pair_size bytes plus a small header, which is the point:
 this table trades mutation speed for the smallest possible footprint,
 which suits tables that are built once and then only read.
@@ -10,36 +10,60 @@ which suits tables that are built once and then only read.
 Keys and data are opaque fixed-size byte blocks, and keys have one
 order, unsigned bytes (see the class docstring).
 
-A lookup bisects a list of fence keys, every FENCE_STRIDE-th key as
-exact `bytes` (a sparse index over the sorted run, as in the fence keys
-of a B-tree; Graefe 2011, "Modern B-Tree Techniques"), to find the
-key's block, then runs one `bytearray.find` over that block's pairs,
-passing over any match off a pair boundary (across two pairs or inside
-a datum).  The first lookup after a size
-change builds the fences in one numpy pass and every later lookup
-makes no numpy call; every insert of a new key and every delete drops
-them.  So lookups are cheap and mutations are not: the lookup after
-each one rebuilds the fences in O(n / FENCE_STRIDE).  The fences are a
-cache derived from the pairs and are not accounted.
+A lookup reads a rank index, an open-addressing table of pair ranks
+(KenLM's PROBING structure; Heafield 2011, "KenLM: Faster and Smaller
+Language Model Queries"): an `array('I')` of power-of-two capacity at
+load at most `hashing.MAX_LOAD`, EMPTY in a free slot, searched by
+linear probing from `hash(key) & mask`.  So a lookup is expected O(1),
+one Python frame with no numpy call, and it reads key and datum of
+each probed pair with one unpack.  The first lookup after a size change
+builds the index in one pass over the keys, placing each rank in turn;
+every insert of a new key and every delete drops it, and a replace
+keeps it.  The index follows the per-process salt of `hash(bytes)`, so
+its layout differs from run to run while its answers do not.
+
+The index is a cache derived from the pairs and is not accounted.  On
+the 36,098 pairs (433,176 B) of the seed-101 `ngram-build` model it
+holds 262,224 B live under `tracemalloc`, 61% of the pair bytes (the
+fence keys it replaced held 55,321 B), and a build takes about 17 ms
+on a shared 2-core VM (the fences took 0.03 ms).  So an insert, lookup,
+delete, lookup cycle on a 36k-key table, which rebuilds it twice,
+takes about 31 ms instead of 64 us.  No workload mutates a table after
+its first lookup.
 
 Insert and delete use the plain search, `_search`, a bisect over ranks
 that reads one key per step.  numpy runs only in whole-run passes, the
-fence build and the order check when a table is read, each on a strided
+index build and the order check when a table is read, each on a strided
 view of the pair buffer that it drops before returning.  No view
 outlives the call: `np.ndarray(buffer=...)` does not pin a bytearray,
 so a view kept across a resize would read freed memory.
 """
 
 import struct
-from bisect import bisect_left, bisect_right
+from array import array
+from bisect import bisect_left
+from typing import NamedTuple
 
 import numpy as np
 
 from . import wire
 from .accounting import Container
 from .errors import ContractFault, DecodeFault, DomainFault, RangeFault
+from .hashing import MAX_LOAD
 
-FENCE_STRIDE = 32  # pairs per fence block
+EMPTY = 0xFFFFFFFF  # a free slot of the rank index
+
+
+class CompactStats(NamedTuple):
+    """A CompactTable's lookup index: entries, slots (0 before it is built) and the longest probe.
+
+    The longest probe is the most slots a lookup of a stored key reads,
+    1 for a key in its home slot, 0 when the index is empty or not built.
+    """
+
+    entries: int
+    capacity: int
+    longest_probe: int
 
 
 class CompactTable(Container):
@@ -51,11 +75,15 @@ class CompactTable(Container):
     B-tree's normalized keys do: flip the top bit of signed big-endian
     integers (offset binary), complement every byte for reverse order,
     byteswap little-endian integers to big-endian.
+
+    `lookup` reads through a hash index of ranks that the first lookup
+    after a size change builds, so a table that is built, then only read,
+    pays one build; `insert` and `delete` search the sorted run itself.
     """
 
     __slots__ = (
-        "key_size", "datum_size", "_pairs", "_count", "_mods", "_fences",
-        "_fence_span", "_key_from", "_datum_from", "_pair_from",
+        "key_size", "datum_size", "_pairs", "_count", "_mods", "_index",
+        "_key_from", "_pair_from",
     )
 
     def __init__(self, key_size: int, datum_size: int):
@@ -68,11 +96,9 @@ class CompactTable(Container):
         self._pairs = bytearray()
         self._count = 0
         self._mods = 0  # new-key inserts and deletes so far, for the iteration rule
-        self._fences = None  # built by the first lookup after a size change
-        self._fence_span = FENCE_STRIDE * (key_size + datum_size)  # bytes per fence block
+        self._index = None  # built by the first lookup after a size change
         # slice readers that copy once into bytes and hold no export of _pairs after the call
         self._key_from = struct.Struct("%ds" % key_size).unpack_from
-        self._datum_from = struct.Struct("%ds" % datum_size).unpack_from
         self._pair_from = struct.Struct("%ds%ds" % (key_size, datum_size)).unpack_from
         super().__init__()
 
@@ -80,17 +106,26 @@ class CompactTable(Container):
         (key,) = self._key_from(self._pairs, rank * (self.key_size + self.datum_size))
         return key
 
-    def _fence_keys(self) -> list:
-        """Every FENCE_STRIDE-th key of _pairs as exact bytes, the first key first.
+    def _rank_index(self) -> array:
+        """Every rank of _pairs placed by linear probing from hash(key) & mask.
 
-        Read through a `V<key_size>` view, which keeps trailing NUL bytes
-        that an `S` value would drop.
+        Keys are read through a `V<key_size>` view, which keeps trailing
+        NUL bytes that an `S` value would drop.
         """
-        fences = np.ndarray(
-            (-(-self._count // FENCE_STRIDE),), dtype="V%d" % self.key_size,
-            buffer=self._pairs, strides=(self._fence_span,),
-        )
-        return fences.tolist()
+        keys = np.ndarray(
+            (self._count,), dtype="V%d" % self.key_size,
+            buffer=self._pairs, strides=(self.key_size + self.datum_size,),
+        ).tolist()
+        capacity = 1
+        while self._count > MAX_LOAD * capacity:
+            capacity *= 2
+        index, mask = array("I", [EMPTY]) * capacity, capacity - 1
+        for rank, slot in enumerate(map(hash, keys)):
+            slot &= mask
+            while index[slot] != EMPTY:
+                slot = (slot + 1) & mask
+            index[slot] = rank
+        return index
 
     def _search(self, key: bytes) -> tuple[bool, int]:
         """Binary search: (True, rank) if present, else (False, insertion rank)."""
@@ -106,21 +141,20 @@ class CompactTable(Container):
         key_size = self.key_size
         if type(key) is not bytes or len(key) != key_size:
             key = self._check_size(key, key_size, "key")
-        fences = self._fences
-        if fences is None:
-            fences = self._fences = self._fence_keys()
-        span = self._fence_span  # the fence search is kept inline, so a lookup is one Python frame
-        start = (bisect_right(fences, key) - 1) * span
-        if start < 0:  # below the first key
-            return None
-        pairs, pair_size = self._pairs, key_size + self.datum_size
-        at = pairs.find(key, start, start + span)
-        while at % pair_size and at >= 0:  # a match off a pair boundary is no key
-            at = pairs.find(key, at + 1, start + span)
-        if at < 0:
-            return None
-        (datum,) = self._datum_from(pairs, at + key_size)
-        return datum
+        index = self._index
+        if index is None:
+            index = self._index = self._rank_index()
+        mask = len(index) - 1  # the probe loop is kept inline, so a lookup is one Python frame
+        slot = hash(key) & mask
+        rank = index[slot]
+        pair_from, pairs, pair_size = self._pair_from, self._pairs, key_size + self.datum_size
+        while rank != EMPTY:
+            stored, datum = pair_from(pairs, rank * pair_size)
+            if stored == key:
+                return datum
+            slot = (slot + 1) & mask
+            rank = index[slot]
+        return None
 
     def __contains__(self, key) -> bool:
         return self.lookup(key) is not None
@@ -135,7 +169,7 @@ class CompactTable(Container):
         if found:
             self._pairs[offset + self.key_size : offset + pair_size] = datum
             return True
-        self._fences = None
+        self._index = None
         self._pairs[offset:offset] = key + datum
         self._count += 1
         self._mods += 1
@@ -149,12 +183,23 @@ class CompactTable(Container):
             return False
         pair_size = self.key_size + self.datum_size
         offset = rank * pair_size
-        self._fences = None
+        self._index = None
         del self._pairs[offset : offset + pair_size]
         self._count -= 1
         self._mods += 1
         self._resize(len(self._pairs))
         return True
+
+    def stats(self) -> CompactStats:
+        """The lookup index now, found by walking it; nothing is counted for this."""
+        index = self._index
+        if index is None:
+            return CompactStats(self._count, 0, 0)
+        mask, longest = len(index) - 1, 0
+        for slot, rank in enumerate(index):
+            if rank != EMPTY:
+                longest = max(longest, (slot - hash(self._key_at(rank))) & mask)
+        return CompactStats(self._count, len(index), longest + 1 if self._count else 0)
 
     def nth(self, rank: int) -> tuple[bytes, bytes]:
         """Return the rank-th smallest (key, datum); 0 <= rank < len."""

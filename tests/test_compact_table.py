@@ -1,4 +1,6 @@
+import os
 import random
+import subprocess
 import sys
 from io import BytesIO
 
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pakit import accounting
-from pakit.compact_table import FENCE_STRIDE, CompactTable
+from pakit.compact_table import CompactTable
 from pakit.errors import ContractFault, DecodeFault, RangeFault
+from pakit.hashing import MAX_LOAD
 from pakit.unigram import UnigramTable
 
 
@@ -281,77 +284,76 @@ def test_matches_dict_reference_model(key_size, datum_size, data):
         table.destroy()
 
 
-# --- fence-key lookups ------------------------------------------------------
+# --- rank-index lookups -----------------------------------------------------
 #
-# A lookup bisects the fence keys (every FENCE_STRIDE-th key) and then
-# searches one block with bytearray.find.  Each datum below repeats the
-# next key's bytes and the probes include every window of the pair bytes,
-# so keys occur inside data and across pair boundaries, and the search
-# must pass over those matches.
+# A lookup probes a hash index of pair ranks, built by the first lookup
+# after a size change.  Each datum below repeats the next key's bytes and
+# the probes include every window of the pair bytes, so most absent probes
+# are byte strings that the pairs hold inside a datum or across two pairs.
+# The slot layout follows the per-process `bytes` hash salt, so no test here
+# pins one; the two `fence` test names are those of the sparse index the
+# rank index replaced, kept so that their ids stay the same.
 
-FENCE_ALPHABET = bytes([0x01, 0x02, 0x03, 0x04, 0x05, 0x7F])  # 216 keys of 3 bytes
+INDEX_ALPHABET = bytes([0x00, 0x01, 0x02, 0x7F, 0x80, 0xFF])  # 216 keys of 3 bytes
 
 
-def fence_table(key_size, datum_size, seed=7):
-    """A default-order table of 3 full fence blocks plus a partial one, and its reference dict."""
+def index_reference(key_size, datum_size, count, seed):
+    """`count` distinct keys, each mapped to a datum made of the next key's bytes."""
     rng = random.Random(seed * 100 + key_size * 10 + datum_size)
-    count = 3 * FENCE_STRIDE + 5
     if key_size == 1:
-        keys = {bytes([k]) for k in rng.sample(range(1, 255), count)}  # 0x00 stays below, 0xff above
+        keys = {bytes([k]) for k in rng.sample(range(256), count)}
     else:
         keys = set()
         while len(keys) < count:
-            keys.add(bytes(rng.choice(FENCE_ALPHABET) for _ in range(key_size)))
+            keys.add(bytes(rng.choice(INDEX_ALPHABET) for _ in range(key_size)))
     keys = sorted(keys)
-    reference = {key: (after * datum_size)[:datum_size] for key, after in zip(keys, keys[1:] + keys[:1])}
-    table = CompactTable(key_size, datum_size)
-    for key in rng.sample(keys, count):
-        table.insert(key, reference[key])
-    return table, reference
+    return {key: (after * datum_size)[:datum_size] for key, after in zip(keys, keys[1:] + keys[:1])}
 
 
-def fence_probes(table, reference):
-    """Every key, every fence, keys below and above all, absent keys between blocks, every window."""
-    key_size, keys = table.key_size, sorted(reference)
-    probes = keys + keys[::FENCE_STRIDE] + [b"\x00" * key_size, b"\xff" * key_size]
-    for rank in range(FENCE_STRIDE, len(keys), FENCE_STRIDE):
-        value = int.from_bytes(keys[rank - 1], "big") + 1
-        if value < int.from_bytes(keys[rank], "big"):  # an absent key between two blocks
-            probes.append(value.to_bytes(key_size, "big"))
-    pairs = b"".join(key + datum for key, datum in table.items())
-    probes += [pairs[at : at + key_size] for at in range(len(pairs) - key_size + 1)]
-    return probes
-
-
-def straddling_matches(table, probes):
-    """Probes whose first match in the pair bytes is not at a pair boundary."""
-    pairs = b"".join(key + datum for key, datum in table.items())
-    pair_size = table.key_size + table.datum_size
-    return [p for p in probes if pairs.find(p) % pair_size and pairs.find(p) >= 0]
+def index_probes(key_size, reference):
+    """Every key, the lowest and highest keys, and every window of the pair bytes."""
+    pairs = b"".join(key + datum for key, datum in sorted(reference.items()))
+    windows = [pairs[at : at + key_size] for at in range(len(pairs) - key_size + 1)]
+    return sorted(reference) + [bytes(key_size), b"\xff" * key_size] + windows
 
 
 def check_probes(table, reference, probes):
-    for _ in range(2):
+    for _ in range(2):  # the first pass may build the index, the second reads it built
         for probe in probes:
             assert table.lookup(probe) == reference.get(probe), probe
+
+
+def check_index_stats(table):
+    """A built index: a power-of-two capacity, the smallest with entries <= MAX_LOAD * capacity."""
+    entries, capacity, longest = table.stats()
+    assert entries == len(table)
+    assert capacity & (capacity - 1) == 0
+    assert entries <= MAX_LOAD * capacity
+    assert capacity == 1 or entries > MAX_LOAD * capacity / 2
+    assert 1 <= longest <= entries if entries else longest == 0
+    return capacity
 
 
 @pytest.mark.representation
 @pytest.mark.parametrize("key_size", [1, 3, 8])
 @pytest.mark.parametrize("datum_size", [0, 4])
 def test_fence_lookups_match_a_dict(key_size, datum_size):
-    table, reference = fence_table(key_size, datum_size)
+    # 0 to 100 keys, one insert at a time, straddle every capacity doubling from 1 to 256 slots
+    everything = index_reference(key_size, datum_size, 100, seed=7)
+    probes = index_probes(key_size, everything)
+    order = random.Random(key_size).sample(sorted(everything), len(everything))
+    table, reference, capacities = CompactTable(key_size, datum_size), {}, set()
     try:
-        probes = fence_probes(table, reference)
-        straddling = straddling_matches(table, probes)
-        if key_size > 1:  # an absent key found across two pairs
-            assert any(p not in reference for p in straddling)
-        if key_size <= datum_size:  # a key found first inside the datum before it
-            assert any(p in reference for p in straddling)
-        check_probes(table, reference, probes)
-        assert isinstance(table._fences, list)  # the probes ran on the fence path
-        assert len(table._fences) == 4
-        assert table._fences == sorted(reference)[::FENCE_STRIDE]
+        for key in [None] + order:
+            if key is not None:
+                assert table.insert(key, everything[key]) is False
+                reference[key] = everything[key]
+            assert table.stats() == (len(reference), 0, 0)  # no index until a lookup
+            accounted = accounting.totals()
+            check_probes(table, reference, probes)
+            assert accounting.totals() == accounted  # the index is not accounted
+            capacities.add(check_index_stats(table))
+        assert capacities == {1 << bits for bits in range(9)}
     finally:
         table.destroy()
 
@@ -360,34 +362,96 @@ def test_fence_lookups_match_a_dict(key_size, datum_size):
 @pytest.mark.parametrize("key_size", [1, 3, 8])
 @pytest.mark.parametrize("datum_size", [0, 4])
 def test_fence_lookups_after_replace_insert_and_delete(key_size, datum_size):
-    table, reference = fence_table(key_size, datum_size, seed=11)
-    keys = sorted(reference)
+    everything = index_reference(key_size, datum_size, 92, seed=11)
+    probes = index_probes(key_size, everything)
+    keys = sorted(everything)
+    new_keys = keys[1::31]  # 3 keys left out at first
+    reference = {key: datum for key, datum in everything.items() if key not in new_keys}
+    table = CompactTable(key_size, datum_size)
     try:
-        probes = fence_probes(table, reference)
+        for key, datum in reference.items():
+            table.insert(key, datum)
         check_probes(table, reference, probes)
-        fences = table._fences
-        for key in keys[::7]:  # a replace keeps the size, so the fences stay
+        assert check_index_stats(table) == 128  # 89 keys
+        index = table._index
+        for key in sorted(reference)[::7]:  # a replace keeps the size, so the index stays
             datum = bytes(reversed(reference[key])) or reference[key]
             assert table.insert(key, datum) is True
             reference[key] = datum
-        assert table._fences is fences
+        assert table._index is index
         check_probes(table, reference, probes)
-        absent = [p for p in probes if p not in reference]
-        for key in absent[:3]:  # new keys move every later pair
+        assert table._index is index
+        for key in new_keys:  # each new key moves ranks: the next lookup rebuilds the index
             assert table.insert(key, bytes(datum_size)) is False
             reference[key] = bytes(datum_size)
-            assert table._fences is None
-            assert table.lookup(key) == bytes(datum_size)  # one lookup rebuilds the fences
-            assert table._fences == sorted(reference)[::FENCE_STRIDE]
+            assert table.stats().capacity == 0
+            assert table.lookup(key) == bytes(datum_size)
+            check_index_stats(table)
             check_probes(table, reference, probes)
-        for key in keys[FENCE_STRIDE - 2 :: FENCE_STRIDE] + keys[:2]:  # deletes shift fences
+        assert check_index_stats(table) == 256  # 92 keys
+        for key in keys[::30]:  # so does each delete, 4 of them
             assert table.delete(key) is True
             del reference[key]
-            assert table._fences is None
+            assert table.stats().capacity == 0
             check_probes(table, reference, probes)
+            check_index_stats(table)
+        assert check_index_stats(table) == 128  # 88 keys
         assert list(table.items()) == sorted(reference.items())
     finally:
         table.destroy()
+
+
+@pytest.mark.representation
+def test_stats_longest_probe_walks_the_index():
+    table = CompactTable(8, 4)
+    try:
+        for n in range(0, 3000, 3):
+            table.insert(n.to_bytes(8, "big"), n.to_bytes(4, "big"))
+        table.lookup(bytes(8))
+        index = table._index
+        mask, probes = len(index) - 1, []
+        for rank, (key, _) in enumerate(table.items()):
+            slot, length = hash(key) & mask, 1
+            while index[slot] != rank:
+                slot, length = (slot + 1) & mask, length + 1
+            probes.append(length)
+        assert table.stats() == (1000, 2048, max(probes))
+    finally:
+        table.destroy()
+
+
+_SALT_SCRIPT = """
+import json, random
+from pakit import CompactTable
+for key_size, datum_size in ((1, 0), (3, 2), (8, 4)):
+    rng = random.Random(key_size)
+    keys = sorted({rng.randbytes(key_size) for _ in range(150)})
+    absent = [rng.randbytes(key_size) for _ in range(300)]
+    table = CompactTable(key_size, datum_size)
+    for key in keys:
+        table.insert(key, (key * datum_size)[:datum_size])
+    found = [table.lookup(key) for key in keys + absent]
+    table.delete(keys[len(keys) // 2])
+    table.insert(absent[0], bytes(datum_size))
+    found += [table.lookup(key) for key in keys + absent]
+    print(json.dumps([None if d is None else d.hex() for d in found] + list(table.stats()[:2])))
+    table.destroy()
+"""
+
+
+def test_lookups_ignore_the_hash_salt():
+    # the slot layout follows the per-process bytes hash; the answers may not
+    outputs = []
+    for seed in ("0", "1", "random"):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run([sys.executable, "-c", _SALT_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0].splitlines()) == 3
+    assert "null" in outputs[0] and '"' in outputs[0]  # both hits and misses were answered
 
 
 @pytest.mark.representation

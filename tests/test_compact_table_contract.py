@@ -4,8 +4,8 @@ Only public names are used, so any representation that keeps the
 contract passes unedited: insert, lookup, `in`, delete, `len`, `nth` and
 `items()` in key order, a `write` then `read` round trip, the iteration
 rule of `accounting.Container`, and `destroy` returning the accounting
-totals to where they started.  Runs of inserts take the table past one
-fence block of `FENCE_STRIDE` keys, so lookups cross block boundaries.
+totals to where they started.  Runs of inserts grow the table through
+several doublings of its lookup index between lookups.
 """
 
 from io import BytesIO
