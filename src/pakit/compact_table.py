@@ -22,21 +22,21 @@ every insert of a new key and every delete drops it, and a replace
 keeps it.  The index follows the per-process salt of `hash(bytes)`, so
 its layout differs from run to run while its answers do not.
 
-The index is a cache derived from the pairs and is not accounted.  On
-the 36,098 pairs (433,176 B) of the seed-101 `ngram-build` model it
-holds 262,224 B live under `tracemalloc`, 61% of the pair bytes (the
-fence keys it replaced held 55,321 B), and a build takes about 17 ms
-on a shared 2-core VM (the fences took 0.03 ms).  So an insert, lookup,
-delete, lookup cycle on a 36k-key table, which rebuilds it twice,
-takes about 31 ms instead of 64 us.  No workload mutates a table after
-its first lookup.
+The index is a cache derived from the pairs.  It is not accounted, and
+`stats()` reports its bytes.  On the 36,098 pairs (433,176 B) of the
+seed-101 `ngram-build` model it holds 262,144 B of slots, and its build
+peaks 262,717 B above the live table under `tracemalloc`, since the keys
+stream from the pair buffer and only the index is held.  A build takes
+12-20 ms there on a shared 2-core VM, which a table mutated between
+lookups pays each time; no workload does.
 
-Insert and delete use the plain search, `_search`, a bisect over ranks
-that reads one key per step.  numpy runs only in whole-run passes, the
-index build and the order check when a table is read, each on a strided
-view of the pair buffer that it drops before returning.  No view
-outlives the call: `np.ndarray(buffer=...)` does not pin a bytearray,
-so a view kept across a resize would read freed memory.
+One Struct, `<key_size>s<datum_size>x`, reads every key: its
+`unpack_from` gives the key at each step of `_search`, the bisect over
+ranks that insert and delete use, and its `iter_unpack` streams the keys
+to the index build.  numpy runs only in the order check when a table is
+read, on a strided view of the pair buffer that it drops before
+returning.  No view outlives the call: `np.ndarray(buffer=...)` does not
+pin a bytearray, so a view kept across a resize would read freed memory.
 """
 
 import struct
@@ -55,15 +55,18 @@ EMPTY = 0xFFFFFFFF  # a free slot of the rank index
 
 
 class CompactStats(NamedTuple):
-    """A CompactTable's lookup index: entries, slots (0 before it is built) and the longest probe.
+    """A CompactTable's lookup index: entries, slots, the longest probe and its bytes.
 
-    The longest probe is the most slots a lookup of a stored key reads,
-    1 for a key in its home slot, 0 when the index is empty or not built.
+    Slots and bytes are 0 before the index is built.  The longest probe
+    is the most slots a lookup of a stored key reads, 1 for a key in its
+    home slot, 0 when the index is empty or not built.  The bytes are
+    the index's slots, which no accounted block counts.
     """
 
     entries: int
     capacity: int
     longest_probe: int
+    index_bytes: int
 
 
 class CompactTable(Container):
@@ -81,10 +84,7 @@ class CompactTable(Container):
     pays one build; `insert` and `delete` search the sorted run itself.
     """
 
-    __slots__ = (
-        "key_size", "datum_size", "_pairs", "_count", "_mods", "_index",
-        "_key_from", "_pair_from",
-    )
+    __slots__ = ("key_size", "datum_size", "_pairs", "_mods", "_index", "_key_reader", "_pair_from")
 
     def __init__(self, key_size: int, datum_size: int):
         if key_size < 1:
@@ -94,34 +94,26 @@ class CompactTable(Container):
         self.key_size = key_size
         self.datum_size = datum_size
         self._pairs = bytearray()
-        self._count = 0
         self._mods = 0  # new-key inserts and deletes so far, for the iteration rule
         self._index = None  # built by the first lookup after a size change
-        # slice readers that copy once into bytes and hold no export of _pairs after the call
-        self._key_from = struct.Struct("%ds" % key_size).unpack_from
+        # pair readers that copy into bytes and hold no export of _pairs after
+        # the call, or, for iter_unpack, after the last key
+        self._key_reader = struct.Struct("%ds%dx" % (key_size, datum_size))
         self._pair_from = struct.Struct("%ds%ds" % (key_size, datum_size)).unpack_from
         super().__init__()
 
     def _key_at(self, rank: int) -> bytes:
-        (key,) = self._key_from(self._pairs, rank * (self.key_size + self.datum_size))
+        (key,) = self._key_reader.unpack_from(self._pairs, rank * (self.key_size + self.datum_size))
         return key
 
     def _rank_index(self) -> array:
-        """Every rank of _pairs placed by linear probing from hash(key) & mask.
-
-        Keys are read through a `V<key_size>` view, which keeps trailing
-        NUL bytes that an `S` value would drop.
-        """
-        keys = np.ndarray(
-            (self._count,), dtype="V%d" % self.key_size,
-            buffer=self._pairs, strides=(self.key_size + self.datum_size,),
-        ).tolist()
-        capacity = 1
-        while self._count > MAX_LOAD * capacity:
+        """Every rank of _pairs placed by linear probing from hash(key) & mask."""
+        capacity, count = 1, len(self)
+        while count > MAX_LOAD * capacity:
             capacity *= 2
         index, mask = array("I", [EMPTY]) * capacity, capacity - 1
-        for rank, slot in enumerate(map(hash, keys)):
-            slot &= mask
+        for rank, (key,) in enumerate(self._key_reader.iter_unpack(self._pairs)):
+            slot = hash(key) & mask
             while index[slot] != EMPTY:
                 slot = (slot + 1) & mask
             index[slot] = rank
@@ -129,12 +121,12 @@ class CompactTable(Container):
 
     def _search(self, key: bytes) -> tuple[bool, int]:
         """Binary search: (True, rank) if present, else (False, insertion rank)."""
-        rank = bisect_left(range(self._count), key, key=self._key_at)
-        offset = rank * (self.key_size + self.datum_size)
-        return rank < self._count and self._pairs.startswith(key, offset), rank
+        rank = bisect_left(range(len(self)), key, key=self._key_at)
+        # past the last pair, startswith is False
+        return self._pairs.startswith(key, rank * (self.key_size + self.datum_size)), rank
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._pairs) // (self.key_size + self.datum_size)
 
     def lookup(self, key):
         """Return the datum bytes paired with `key`, or None if absent."""
@@ -171,7 +163,6 @@ class CompactTable(Container):
             return True
         self._index = None
         self._pairs[offset:offset] = key + datum
-        self._count += 1
         self._mods += 1
         self._resize(len(self._pairs))
         return False
@@ -185,34 +176,35 @@ class CompactTable(Container):
         offset = rank * pair_size
         self._index = None
         del self._pairs[offset : offset + pair_size]
-        self._count -= 1
         self._mods += 1
         self._resize(len(self._pairs))
         return True
 
     def stats(self) -> CompactStats:
         """The lookup index now, found by walking it; nothing is counted for this."""
-        index = self._index
+        index, entries = self._index, len(self)
         if index is None:
-            return CompactStats(self._count, 0, 0)
+            return CompactStats(entries, 0, 0, 0)
         mask, longest = len(index) - 1, 0
         for slot, rank in enumerate(index):
             if rank != EMPTY:
                 longest = max(longest, (slot - hash(self._key_at(rank))) & mask)
-        return CompactStats(self._count, len(index), longest + 1 if self._count else 0)
+        return CompactStats(
+            entries, len(index), longest + 1 if entries else 0, len(index) * index.itemsize
+        )
 
     def nth(self, rank: int) -> tuple[bytes, bytes]:
         """Return the rank-th smallest (key, datum); 0 <= rank < len."""
-        if not 0 <= rank < self._count:
-            raise RangeFault("rank %d out of range for %d entries" % (rank, self._count))
+        if not 0 <= rank < len(self):
+            raise RangeFault("rank %d out of range for %d entries" % (rank, len(self)))
         return self._pair_from(self._pairs, rank * (self.key_size + self.datum_size))
 
     def items(self):
         """Iterator over (key, datum) pairs in key order."""
-        return self._pairs_from(self._count, self._mods)
+        return self._pairs_from(len(self), self._mods)
 
     def _pairs_from(self, count: int, mods: int):
-        # _mods, not _count: a delete then an insert moves the pairs but not the size
+        # _mods, not the length: a delete then an insert moves the pairs but not the size
         pair_from, pair_size = self._pair_from, self.key_size + self.datum_size
         for offset in range(0, count * pair_size, pair_size):
             if self._mods != mods:  # reads a slot each step: a destroyed table faults too
@@ -223,15 +215,14 @@ class CompactTable(Container):
 
     def write(self, stream) -> None:
         """Write 8-byte entry count, then the raw sorted pair bytes."""
-        wire.write_records(stream, self._count, self._pairs)
+        wire.write_records(stream, len(self), self._pairs)
 
     @classmethod
     def read(cls, stream, key_size: int, datum_size: int) -> "CompactTable":
         """Inverse of write; the sizes are supplied by the caller."""
         table = cls(key_size, datum_size)
         with table._destroy_on_error():
-            table._count, payload = wire.read_records(stream, key_size + datum_size)
-            table._pairs = bytearray(payload)
+            table._pairs = bytearray(wire.read_records(stream, key_size + datum_size)[1])
             rank = table._first_unsorted_rank()  # stream must already obey the key order
             if rank is not None:
                 raise DecodeFault("stream keys not strictly sorted at rank %d" % rank)
@@ -243,7 +234,7 @@ class CompactTable(Container):
         # numpy compares `S` values with trailing NUL bytes stripped, which
         # for keys of one fixed width is exactly lexicographic byte order
         keys = np.ndarray(
-            (self._count,), dtype="S%d" % self.key_size,
+            (len(self),), dtype="S%d" % self.key_size,
             buffer=self._pairs, strides=(self.key_size + self.datum_size,),
         )
         out_of_order = np.flatnonzero(keys[1:] <= keys[:-1])

@@ -22,7 +22,6 @@ from . import wire
 from .accounting import Container
 from .errors import DecodeFault, DomainFault, OverflowFault, RangeFault
 
-_WIDTHS = (1, 2, 4, 8)
 # width -> an unsigned typecode of that itemsize, chosen by size since 'L'
 # is 4 or 8 bytes by platform; a later code takes the width over
 _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
@@ -33,13 +32,12 @@ _SWAP = sys.byteorder == "little"  # the stream is big-endian
 class UnigramTable(Container):
     """Per-symbol frequency counters over a fixed alphabet."""
 
-    __slots__ = ("alphabet_size", "_counters", "_width", "_total")
+    __slots__ = ("alphabet_size", "_counters", "_total")
 
     def __init__(self, alphabet_size: int):
         if alphabet_size < 1:
             raise DomainFault("alphabet_size must be >= 1, got %d" % alphabet_size)
         self.alphabet_size = alphabet_size
-        self._width = 1
         self._counters = array(_TYPECODES[1], bytes(alphabet_size))
         self._total = 0
         super().__init__(alphabet_size)
@@ -52,12 +50,11 @@ class UnigramTable(Container):
 
     def _widen_to(self, width: int) -> None:
         self._counters = array(_TYPECODES[width], self._counters)
-        self._width = width
         self._resize(self.alphabet_size * width)
 
     @property
     def counter_width(self) -> int:
-        return self._width
+        return self._counters.itemsize
 
     def increment(self, symbol: int, by: int = 1) -> None:
         """Add `by` to the symbol's counter, widening the array if needed."""
@@ -71,8 +68,8 @@ class UnigramTable(Container):
             new_count = self._counters[symbol] + by
             if new_count > _MAX_COUNT:
                 raise OverflowFault("counter for symbol %d exceeds 64 bits" % symbol) from None
-            while new_count >> (8 * self._width):
-                self._widen_to(_WIDTHS[_WIDTHS.index(self._width) + 1])
+            while new_count >> (8 * self._counters.itemsize):
+                self._widen_to(2 * self._counters.itemsize)
             self._counters[symbol] = new_count
         self._total += by
 
@@ -89,8 +86,8 @@ class UnigramTable(Container):
     def write(self, stream) -> None:
         """Format: alphabet_size (8 bytes), counter width (1), big-endian counters."""
         wire.write_uint(stream, self.alphabet_size, 8)
-        wire.write_uint(stream, self._width, 1)
         counters = self._counters
+        wire.write_uint(stream, counters.itemsize, 1)
         if _SWAP:
             counters = counters[:]
             counters.byteswap()
@@ -103,7 +100,7 @@ class UnigramTable(Container):
         if alphabet_size < 1:
             raise DecodeFault("alphabet_size must be >= 1, got %d" % alphabet_size)
         width = wire.read_uint(stream, 1)
-        if width not in _WIDTHS:
+        if width not in _TYPECODES:
             raise DecodeFault("invalid counter width %d" % width)
         raw = wire.read_exact(stream, alphabet_size * width)  # before any registration
         table = cls(alphabet_size)
@@ -112,7 +109,6 @@ class UnigramTable(Container):
         if _SWAP:
             counters.byteswap()
         table._counters = counters
-        table._width = width
         table._total = sum(counters)
         table._resize(alphabet_size * width)
         return table
@@ -122,6 +118,7 @@ class UnigramTable(Container):
             return NotImplemented
         return (
             self.alphabet_size == other.alphabet_size
-            and self._width == other._width
+            # array equality compares values, not typecodes
+            and self._counters.itemsize == other._counters.itemsize
             and self._counters == other._counters
         )

@@ -7,6 +7,9 @@ settings.register_profile(
     "pakit",
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
+    # a failing test shrinks one failure, not each distinct one: a regression
+    # that breaks a contract machine is reported in seconds, not minutes
+    report_multiple_bugs=False,
 )
 settings.load_profile("pakit")
 

@@ -2,13 +2,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from io import BytesIO
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pakit import accounting
+from pakit import accounting, wire
 from pakit.compact_table import CompactTable
 from pakit.errors import ContractFault, DecodeFault, RangeFault
 from pakit.hashing import MAX_LOAD
@@ -325,7 +326,8 @@ def check_probes(table, reference, probes):
 
 def check_index_stats(table):
     """A built index: a power-of-two capacity, the smallest with entries <= MAX_LOAD * capacity."""
-    entries, capacity, longest = table.stats()
+    entries, capacity, longest, index_bytes = table.stats()
+    assert index_bytes == len(table._index) * table._index.itemsize == 4 * capacity
     assert entries == len(table)
     assert capacity & (capacity - 1) == 0
     assert entries <= MAX_LOAD * capacity
@@ -348,7 +350,7 @@ def test_fence_lookups_match_a_dict(key_size, datum_size):
             if key is not None:
                 assert table.insert(key, everything[key]) is False
                 reference[key] = everything[key]
-            assert table.stats() == (len(reference), 0, 0)  # no index until a lookup
+            assert table.stats() == (len(reference), 0, 0, 0)  # no index until a lookup
             accounted = accounting.totals()
             check_probes(table, reference, probes)
             assert accounting.totals() == accounted  # the index is not accounted
@@ -384,7 +386,7 @@ def test_fence_lookups_after_replace_insert_and_delete(key_size, datum_size):
         for key in new_keys:  # each new key moves ranks: the next lookup rebuilds the index
             assert table.insert(key, bytes(datum_size)) is False
             reference[key] = bytes(datum_size)
-            assert table.stats().capacity == 0
+            assert table.stats()[1:] == (0, 0, 0)
             assert table.lookup(key) == bytes(datum_size)
             check_index_stats(table)
             check_probes(table, reference, probes)
@@ -392,7 +394,7 @@ def test_fence_lookups_after_replace_insert_and_delete(key_size, datum_size):
         for key in keys[::30]:  # so does each delete, 4 of them
             assert table.delete(key) is True
             del reference[key]
-            assert table.stats().capacity == 0
+            assert table.stats()[1:] == (0, 0, 0)
             check_probes(table, reference, probes)
             check_index_stats(table)
         assert check_index_stats(table) == 128  # 88 keys
@@ -415,7 +417,7 @@ def test_stats_longest_probe_walks_the_index():
             while index[slot] != rank:
                 slot, length = (slot + 1) & mask, length + 1
             probes.append(length)
-        assert table.stats() == (1000, 2048, max(probes))
+        assert table.stats() == (1000, 2048, max(probes), 2048 * 4)
     finally:
         table.destroy()
 
@@ -454,16 +456,8 @@ def test_lookups_ignore_the_hash_salt():
     assert "null" in outputs[0] and '"' in outputs[0]  # both hits and misses were answered
 
 
-@pytest.mark.representation
-def test_a_warmed_lookup_and_a_count_make_no_numpy_call():
-    table = CompactTable(8, 4)
-    unigrams = UnigramTable(16)
-    for n in range(0, 400, 2):
-        table.insert(n.to_bytes(8, "big"), n.to_bytes(4, "big"))
-    unigrams.increment(3, 300)
-    hit, miss = (202).to_bytes(8, "big"), (203).to_bytes(8, "big")
-    for _ in range(2):
-        table.lookup(hit), table.lookup(miss)
+def profiled(fn, *args):
+    """fn(*args), the Python frames it entered and the numpy functions it called."""
     frames, c_calls = [], []
 
     def profile(frame, event, arg):
@@ -474,16 +468,55 @@ def test_a_warmed_lookup_and_a_count_make_no_numpy_call():
 
     sys.setprofile(profile)
     try:
-        found, absent, count = table.lookup(hit), table.lookup(miss), unigrams.count(3)
+        result = fn(*args)
     finally:
         sys.setprofile(None)
-        table.destroy()
-        unigrams.destroy()
     into_numpy = [
         f for f in c_calls
         if isinstance(getattr(f, "__self__", None), (np.ndarray, np.generic))
         or (getattr(f, "__module__", None) or "").startswith("numpy")
     ]
-    assert into_numpy == []
-    assert frames == ["lookup", "lookup", "count"]  # the fence path runs inside lookup
-    assert (found, absent, count) == ((202).to_bytes(4, "big"), None, 300)
+    return result, frames, into_numpy
+
+
+@pytest.mark.representation
+def test_a_warmed_lookup_and_a_count_make_no_numpy_call():
+    table = CompactTable(8, 4)
+    unigrams = UnigramTable(16)
+    for n in range(0, 400, 2):
+        table.insert(n.to_bytes(8, "big"), n.to_bytes(4, "big"))
+    unigrams.increment(3, 300)
+    hit, miss, found = (202).to_bytes(8, "big"), (203).to_bytes(8, "big"), (202).to_bytes(4, "big")
+    try:
+        cold = profiled(table.lookup, hit)  # the first lookup builds the index
+        warmed = [profiled(table.lookup, key) for key in (hit, miss)] + [profiled(unigrams.count, 3)]
+    finally:
+        table.destroy()
+        unigrams.destroy()
+    assert cold == (found, ["lookup", "_rank_index", "__len__"], [])
+    # the probe loop runs inside lookup
+    assert warmed == [(found, ["lookup"], []), (None, ["lookup"], []), (300, ["count"], [])]
+
+
+@pytest.mark.representation
+def test_the_index_build_peaks_at_the_size_of_the_index():
+    # the keys stream from the pair buffer, so only the index is held
+    count = 20_000
+    stream = BytesIO()
+    wire.write_records(stream, count, b"".join(
+        n.to_bytes(8, "big") + n.to_bytes(4, "big") for n in range(0, 3 * count, 3)))
+    stream.seek(0)
+    table = CompactTable.read(stream, 8, 4)
+    try:
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            assert table.lookup((3 * 777).to_bytes(8, "big")) == (3 * 777).to_bytes(4, "big")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        index = table._index
+        assert peak - live <= len(index) * index.itemsize + 64 * 1024
+        assert table.stats().index_bytes == len(index) * index.itemsize == 32768 * 4
+    finally:
+        table.destroy()

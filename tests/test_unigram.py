@@ -231,6 +231,21 @@ def test_wire_bytes_are_big_endian_counters(width):
         loaded.destroy()
 
 
+def test_equal_counts_at_different_widths_compare_unequal():
+    # a width-2 stream whose counts fit one byte reads back at width 2
+    wide = UnigramTable.read(BytesIO(bytes.fromhex("0000000000000003" "02" "0001" "0000" "00ff")))
+    narrow = UnigramTable(3)
+    narrow.increment(0)
+    narrow.increment(2, 255)
+    try:
+        assert [(wide.count(s), narrow.count(s)) for s in range(3)] == [(1, 1), (0, 0), (255, 255)]
+        assert (wide.counter_width, narrow.counter_width) == (2, 1)
+        assert wide != narrow and narrow != wide
+    finally:
+        wide.destroy()
+        narrow.destroy()
+
+
 @pytest.mark.representation
 def test_each_width_has_a_typecode_of_that_size():
     u = UnigramTable(2)
