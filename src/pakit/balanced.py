@@ -40,14 +40,14 @@ by one.
 import math
 import struct
 
+from . import wire
 from .errors import DecodeFault, DomainFault, OverflowFault, RangeFault, UnderflowFault
 
 ALIGN_CUTOFF = 25  # one guard bit past the 24-bit single significand
 
 _EXP_MIN = -(1 << 31)
 _EXP_MAX = (1 << 31) - 1
-_PACK_F32 = struct.Struct(">f")
-_PACK_I32 = struct.Struct(">i")
+_PACK = struct.Struct(">fi")  # single-precision significand, 32-bit exponent
 _LN2 = math.log(2.0)
 _ROUND = 1.5 * 2.0**28  # (m + _ROUND) - _ROUND rounds 0.5 <= |m| < 1 to single precision
 _ALIGN = [2.0**-shift for shift in range(ALIGN_CUTOFF + 1)]  # exact ldexp(1.0, -shift)
@@ -235,16 +235,11 @@ def ln_abs(b: tuple) -> float:
 def write(stream, b: tuple) -> None:
     """4-byte single-precision significand, 4-byte big-endian exponent."""
     significand, exponent = b
-    stream.write(_PACK_F32.pack(significand))
-    stream.write(_PACK_I32.pack(exponent))
+    stream.write(_PACK.pack(significand, exponent))  # one pack: a value that does not fit writes nothing
 
 
 def read(stream) -> tuple:
-    data = stream.read(8)
-    if len(data) != 8:
-        raise DecodeFault("truncated balanced number: got %d of 8 bytes" % len(data))
-    (sig,) = _PACK_F32.unpack(data[:4])
-    (exp,) = _PACK_I32.unpack(data[4:])
+    sig, exp = _PACK.unpack(wire.read_exact(stream, 8))
     if sig == 0.0:
         if exp != 0 or math.copysign(1.0, sig) < 0:
             raise DecodeFault("non-canonical zero encoding")

@@ -18,8 +18,8 @@ linear probing from `hash(key) & mask`.  So a lookup is expected O(1),
 one Python frame with no numpy call, and it reads key and datum of
 each probed pair with one unpack.  The first lookup after a size change
 builds the index in one pass over the keys, placing each rank in turn;
-every insert of a new key and every delete drops it, and a replace
-keeps it.  The index follows the per-process salt of `hash(bytes)`, so
+every insert of a new key and every delete drops it, through the one
+method that changes the size, and a replace keeps it.  The index follows the per-process salt of `hash(bytes)`, so
 its layout differs from run to run while its answers do not.
 
 The index is a cache derived from the pairs.  It is not accounted, and
@@ -161,10 +161,7 @@ class CompactTable(Container):
         if found:
             self._pairs[offset + self.key_size : offset + pair_size] = datum
             return True
-        self._index = None
-        self._pairs[offset:offset] = key + datum
-        self._mods += 1
-        self._resize(len(self._pairs))
+        self._splice(offset, offset, key + datum)
         return False
 
     def delete(self, key) -> bool:
@@ -174,11 +171,15 @@ class CompactTable(Container):
             return False
         pair_size = self.key_size + self.datum_size
         offset = rank * pair_size
+        self._splice(offset, offset + pair_size, b"")
+        return True
+
+    def _splice(self, start: int, stop: int, pairs: bytes) -> None:
+        """Put `pairs` in place of the bytes from start to stop: the one path that changes the size."""
         self._index = None
-        del self._pairs[offset : offset + pair_size]
+        self._pairs[start:stop] = pairs
         self._mods += 1
         self._resize(len(self._pairs))
-        return True
 
     def stats(self) -> CompactStats:
         """The lookup index now, found by walking it; nothing is counted for this."""

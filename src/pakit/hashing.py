@@ -13,16 +13,16 @@ footprint estimate charges per slot; symbol_spec() is for fixed-width
 unsigned integer keys and string_spec() for byte-string keys of any
 length.
 
-`capacity` is bookkeeping for that estimate: it starts at a power of
-two and doubles when an insert would take the entries past MAX_LOAD of
-it (even an insert that replaces a datum), so the accounted bytes grow
-as an open-addressing table's slots would.  Removes never shrink it.
+`capacity` is bookkeeping for that estimate: it starts at 8 and
+doubles when an insert would take the entries past MAX_LOAD of it (even
+an insert that replaces a datum), so the accounted bytes grow as an
+open-addressing table's slots would.  Removes never shrink it.
 """
 
 from typing import NamedTuple, Optional
 
 from .accounting import Container
-from .errors import ContractFault, DomainFault
+from .errors import ContractFault
 
 MAX_LOAD = 0.7
 
@@ -60,15 +60,13 @@ class HashTable(Container):
 
     __slots__ = ("_spec", "_map", "_capacity", "_limit", "_mods")
 
-    def __init__(self, spec: HashSpec, initial_capacity: int = 8):
-        if initial_capacity < 1 or initial_capacity & (initial_capacity - 1):
-            raise DomainFault("capacity must be a power of two, got %d" % initial_capacity)
+    def __init__(self, spec: HashSpec):
         self._spec = spec
         self._map = {}
-        self._capacity = initial_capacity
-        self._limit = MAX_LOAD * initial_capacity
+        self._capacity = 8
+        self._limit = MAX_LOAD * self._capacity
         self._mods = 0
-        super().__init__(self._slot_bytes * initial_capacity)
+        super().__init__(self._slot_bytes * self._capacity)
 
     @property
     def spec(self) -> HashSpec:

@@ -16,6 +16,7 @@ import operator
 import struct
 from math import exp, log, log1p
 
+from . import wire
 from .errors import DecodeFault, DomainFault
 
 ZERO = math.inf  # p = 0
@@ -78,9 +79,7 @@ def write(stream, x: float) -> None:
 
 
 def read(stream) -> float:
-    data = stream.read(8)
-    if len(data) != 8:
-        raise DecodeFault("truncated log-probability: got %d of 8 bytes" % len(data))
+    data = wire.read_exact(stream, 8)
     (x,) = _PACK_F64.unpack(data)
     if math.isnan(x) or data[0] & 0x80:  # the sign bit rules out -0.0 as well
         raise DecodeFault("invalid log-probability bit pattern %r" % (x,))

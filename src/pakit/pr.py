@@ -4,7 +4,9 @@ A PrBackend bundles a representation's constants and operations behind
 uniform callables, so the same algorithm, conformance suite, or
 benchmark can run against native doubles, the log-domain double type,
 the extended-exponent type, or the fixed-point log type by swapping a
-descriptor.  Backend values are opaque: floats for double and logpr,
+descriptor.  The four descriptors are module values, DOUBLE, LOGPR,
+BALANCED and FIXEDLOG, built once at import: `backends()` lists them in
+that order and `backend_by_name` finds one.  Backend values are opaque: floats for double and logpr,
 integer codes for fixedlog, and (significand, exponent) tuples for
 balanced.  The logpr, balanced and fixedlog descriptors bind their
 module's own functions wherever the module's rule is already the
@@ -75,42 +77,37 @@ def _double_neg_ln(p):
     return math.inf if p == 0.0 else -math.log(p)
 
 
-def double_backend() -> PrBackend:
-    """Native double probabilities; the speed baseline, limited range.
+# Native double probabilities; the speed baseline, limited range.  `mul` is
+# the builtin `operator.mul`, which costs no Python frame per call; products
+# need no check, since probabilities in [0, 1] multiply to a probability (or
+# underflow to 0.0).
+DOUBLE = PrBackend(
+    name="double",
+    zero=0.0,
+    one=1.0,
+    from_real=_double_from_real,
+    to_real=lambda p: p,
+    mul=operator.mul,
+    div=_double_div,
+    add=_double_add,
+    cmp=_double_cmp,
+    neg_ln=_double_neg_ln,
+    ln_tolerance=1e-12,
+)
 
-    `mul` is the builtin `operator.mul`, which costs no Python frame per
-    call; products need no check, since probabilities in [0, 1] multiply
-    to a probability (or underflow to 0.0).
-    """
-    return PrBackend(
-        name="double",
-        zero=0.0,
-        one=1.0,
-        from_real=_double_from_real,
-        to_real=lambda p: p,
-        mul=operator.mul,
-        div=_double_div,
-        add=_double_add,
-        cmp=_double_cmp,
-        neg_ln=_double_neg_ln,
-        ln_tolerance=1e-12,
-    )
-
-
-def logpr_backend() -> PrBackend:
-    return PrBackend(
-        name="logpr",
-        zero=logpr.ZERO,
-        one=logpr.ONE,
-        from_real=logpr.from_real,
-        to_real=logpr.to_real,
-        mul=logpr.mul,
-        div=logpr.div,
-        add=logpr.add,
-        cmp=logpr.cmp,
-        neg_ln=lambda x: x,
-        ln_tolerance=1e-12,
-    )
+LOGPR = PrBackend(
+    name="logpr",
+    zero=logpr.ZERO,
+    one=logpr.ONE,
+    from_real=logpr.from_real,
+    to_real=logpr.to_real,
+    mul=logpr.mul,
+    div=logpr.div,
+    add=logpr.add,
+    cmp=logpr.cmp,
+    neg_ln=lambda x: x,
+    ln_tolerance=1e-12,
+)
 
 
 def _balanced_from_real(p):
@@ -146,49 +143,46 @@ def _balanced_neg_ln(b):
     return -balanced.ln_abs(b)
 
 
-def balanced_backend() -> PrBackend:
-    """The extended-exponent type as a probability view: balanced's own values, mul and cmp."""
-    return PrBackend(
-        name="balanced",
-        zero=balanced.ZERO,
-        one=balanced.ONE,
-        from_real=_balanced_from_real,
-        to_real=_balanced_to_real,
-        mul=balanced.mul,
-        div=_balanced_div,
-        add=balanced._probability_add,
-        cmp=balanced.cmp,
-        neg_ln=_balanced_neg_ln,
-        ln_tolerance=2.0 ** -22,
-    )
+# The extended-exponent type as a probability view: balanced's own values, mul and cmp.
+BALANCED = PrBackend(
+    name="balanced",
+    zero=balanced.ZERO,
+    one=balanced.ONE,
+    from_real=_balanced_from_real,
+    to_real=_balanced_to_real,
+    mul=balanced.mul,
+    div=_balanced_div,
+    add=balanced._probability_add,
+    cmp=balanced.cmp,
+    neg_ln=_balanced_neg_ln,
+    ln_tolerance=2.0 ** -22,
+)
 
-
-def fixedlog_backend() -> PrBackend:
-    return PrBackend(
-        name="fixedlog",
-        zero=fixedlog.SENTINEL,
-        one=0,
-        from_real=fixedlog.from_real,
-        to_real=fixedlog.to_real,
-        mul=fixedlog.mul,
-        div=fixedlog.div,
-        add=fixedlog.add,
-        cmp=fixedlog.cmp,
-        neg_ln=lambda c: math.inf if c == fixedlog.SENTINEL else c / fixedlog.SCALE,
-        ln_tolerance=0.5 / fixedlog.SCALE,
-    )
+FIXEDLOG = PrBackend(
+    name="fixedlog",
+    zero=fixedlog.SENTINEL,
+    one=0,
+    from_real=fixedlog.from_real,
+    to_real=fixedlog.to_real,
+    mul=fixedlog.mul,
+    div=fixedlog.div,
+    add=fixedlog.add,
+    cmp=fixedlog.cmp,
+    neg_ln=lambda c: math.inf if c == fixedlog.SENTINEL else c / fixedlog.SCALE,
+    ln_tolerance=0.5 / fixedlog.SCALE,
+)
 
 
 def backends() -> list[PrBackend]:
     """All four backends, the double reference first."""
-    return [double_backend(), logpr_backend(), balanced_backend(), fixedlog_backend()]
+    return [DOUBLE, LOGPR, BALANCED, FIXEDLOG]
 
 
 def backend_by_name(name: str) -> PrBackend:
     for backend in backends():
         if backend.name == name:
             return backend
-    raise DomainFault("unknown backend %r" % name)
+    raise DomainFault("unknown backend %r" % (name,))
 
 
 # --- conformance ---------------------------------------------------------
@@ -241,7 +235,7 @@ def conformance(backend: PrBackend, sample_count: int = 10_000, seed: int = 1) -
 
     Deterministic given the seed.  Failures land in the report; nothing
     raises.  The log-domain oracle for the multiplication chain is the
-    logpr backend run over the identical operand stream.
+    LOGPR descriptor run over the identical operand stream.
     """
     if sample_count < 1:
         raise DomainFault("sample_count must be >= 1, got %d" % sample_count)
@@ -265,10 +259,9 @@ def conformance(backend: PrBackend, sample_count: int = 10_000, seed: int = 1) -
     # Long multiplication chain against the logpr oracle, folding the
     # accumulator onto the real line every few steps so the double
     # backend never underflows.
-    oracle = logpr_backend()
     operands = [rng.uniform(0.1, 1.0) for _ in range(sample_count)]
     total = _chain_neg_ln(backend, operands)
-    oracle_total = _chain_neg_ln(oracle, operands)
+    oracle_total = _chain_neg_ln(LOGPR, operands)
     chain_tol = sample_count * tol
     error = abs(total - oracle_total)
     report.checks.append(CheckResult("mul_chain", error, chain_tol, error <= chain_tol))

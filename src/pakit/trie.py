@@ -13,9 +13,9 @@ string to its index, and one list holds the packed strings in index
 order for the inverse map; `string_of` unpacks on demand and returns
 plain ints.  At width 1 a `bytes` argument is its own packed form, so
 looking it up takes one dict lookup.  Any other argument is made a
-tuple, then packed, by `bytes()` at width 1 and by a `struct.Struct`
-cached per length at wider widths; a symbol that does not pack sends the
-string through the symbol check, which takes `6.0` as `6` and refuses
+tuple, then packed by a `struct.Struct` cached per width and length, the
+one packer at every width; a symbol that does not pack sends the string
+through the symbol check, which takes `6.0` as `6` and refuses
 `6.5`, anything that is not a number, negatives and symbols too wide.
 The trie registers one accounting block.  Strings cannot be deleted:
 removal would punch holes in the dense numbering.
@@ -38,18 +38,10 @@ def _layout(code: str, length: int) -> struct.Struct:
     return struct.Struct(">%d%s" % (length, code))
 
 
-def _packer(symbol_width: int):
-    """The function from a tuple of ints to its packed form: bytes() at width 1, a cached Struct above."""
-    if symbol_width == 1:
-        return bytes  # only ever given a tuple: bytes(5) would be five zero bytes
-    code = _STRUCT_CODES[symbol_width]
-    return lambda string: _layout(code, len(string)).pack(*string)
-
-
 class Trie(Container):
     """Interns symbol sequences as consecutive unsigned integers."""
 
-    __slots__ = ("symbol_width", "_index", "_keys", "_key_bytes", "_key_type", "_pack")
+    __slots__ = ("symbol_width", "_index", "_keys", "_key_bytes", "_key_type")
 
     def __init__(self, symbol_width: int = 4):
         if symbol_width not in (1, 2, 4, 8):
@@ -59,7 +51,6 @@ class Trie(Container):
         self._keys: list[bytes] = []
         self._key_bytes = 0  # symbol_width per symbol held
         self._key_type = bytes if symbol_width == 1 else None  # the argument type that is its own key
-        self._pack = _packer(symbol_width)
         super().__init__(self._payload())
 
     def _payload(self) -> int:
@@ -68,10 +59,11 @@ class Trie(Container):
     def _key(self, symbols) -> bytes:
         """The packed form of `symbols`, any iterable of integral symbols."""
         string = tuple(symbols)
+        layout = _layout(_STRUCT_CODES[self.symbol_width], len(string))
         try:
-            return self._pack(string)
+            return layout.pack(*string)
         except (TypeError, ValueError, struct.error):
-            return self._pack(self._checked(string))
+            return layout.pack(*self._checked(string))
 
     def _checked(self, string: tuple) -> tuple[int, ...]:
         """Return `string` as plain ints; RangeFault on the first symbol that does not fit."""

@@ -4,7 +4,9 @@ All multi-byte integers cross the wire big-endian at a fixed width, and
 variable-length payloads are preceded by an 8-byte length, so a decoder
 always knows exactly where each value ends: a run of equal-size records
 carries its record count, and a byte block is a run of one-byte records.
-Streams are ordinary binary file objects (files, BytesIO).
+Streams are ordinary binary file objects (files, BytesIO).  Every
+decoder in the package reads its stream through `read_exact` or
+`read_records`, so a truncated stream becomes a DecodeFault here alone.
 
 A run of records is one call in each direction with no helper frame:
 writing it takes two `write` calls, and reading it takes one read for
@@ -37,10 +39,7 @@ def read_uint(stream, width: int) -> int:
     """Read exactly `width` big-endian bytes; inverse of write_uint."""
     if width not in _WIDTHS:
         raise DomainFault("width must be one of %r, got %r" % (_WIDTHS, width))
-    data = stream.read(width)
-    if len(data) != width:
-        raise DecodeFault("truncated stream: wanted %d bytes, got %d" % (width, len(data)))
-    return int.from_bytes(data, "big")
+    return int.from_bytes(read_exact(stream, width), "big")
 
 
 def write_records(stream, count: int, payload) -> None:

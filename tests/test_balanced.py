@@ -280,6 +280,15 @@ def test_write_of_computed_values_is_unchanged():
     assert digest == "82afb9eee651367d98835c7c39f95b4d5275cd15670496c0a493ac4b7320cf75"
 
 
+def test_a_refused_write_writes_nothing():
+    stream = BytesIO()
+    refused = [((0.5, 2**40), struct.error), ((0.5, -(2**31) - 1), struct.error), ((1e300, 0), OverflowError)]
+    for value, fault in refused:  # an exponent past 32 bits, a significand past single range
+        with pytest.raises(fault):
+            balanced.write(stream, value)
+        assert stream.getvalue() == b""
+
+
 def test_read_rejects_non_canonical():
     stream = BytesIO()
     stream.write(struct.pack(">f", 1.5))

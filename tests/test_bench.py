@@ -12,14 +12,14 @@ from pakit.errors import DomainFault
 
 
 def test_workload_is_deterministic():
-    backend = pr.logpr_backend()
+    backend = pr.LOGPR
     first, _ = bench.workload(backend, op_count=10_000, seed=3)
     second, _ = bench.workload(backend, op_count=10_000, seed=3)
     assert first == second
 
 
 def test_workload_seed_changes_the_stream():
-    backend = pr.double_backend()
+    backend = pr.DOUBLE
     a, _ = bench.workload(backend, op_count=10_000, seed=3)
     b, _ = bench.workload(backend, op_count=10_000, seed=4)
     assert a != b
@@ -39,7 +39,7 @@ def single_pass(backend, op_count, seed):
 
 
 def test_repetitions_share_the_stream():
-    backend = pr.double_backend()
+    backend = pr.DOUBLE
     checksum, seconds = bench.workload(backend, op_count=30_000, seed=3)  # 10,000 steps: three chunks
     assert len(seconds) == bench.REPETITIONS == 3
     assert all(s > 0.0 for s in seconds)
@@ -48,41 +48,41 @@ def test_repetitions_share_the_stream():
 
 def test_repetitions_that_diverge_are_refused():
     calls = itertools.count()
-    drifting = pr.double_backend()._replace(add=lambda a, b: min(1.0, a + b + 1e-12 * next(calls)))
+    drifting = pr.DOUBLE._replace(add=lambda a, b: min(1.0, a + b + 1e-12 * next(calls)))
     with pytest.raises(AssertionError, match="repetitions diverged"):
         bench.workload(drifting, op_count=300, seed=1)
 
 
 def test_double_and_logpr_agree_in_log_domain():
     ops = 20_000
-    double_sum, _ = bench.workload(pr.double_backend(), ops, seed=11)
-    logpr_sum, _ = bench.workload(pr.logpr_backend(), ops, seed=11)
+    double_sum, _ = bench.workload(pr.DOUBLE, ops, seed=11)
+    logpr_sum, _ = bench.workload(pr.LOGPR, ops, seed=11)
     assert abs(double_sum - logpr_sum) <= 1e-6
 
 
 def test_fixedlog_tracks_within_quantization():
     ops = 20_000
-    double_sum, _ = bench.workload(pr.double_backend(), ops, seed=12)
-    fixed_sum, _ = bench.workload(pr.fixedlog_backend(), ops, seed=12)
+    double_sum, _ = bench.workload(pr.DOUBLE, ops, seed=12)
+    fixed_sum, _ = bench.workload(pr.FIXEDLOG, ops, seed=12)
     folds = ops / 64 + 1
     assert abs(double_sum - fixed_sum) <= folds * 2.0  # loose: ~2 codes of drift per fold
 
 
 def test_workload_rejects_bad_arguments():
-    backend = pr.double_backend()
+    backend = pr.DOUBLE
     with pytest.raises(DomainFault):
         bench.workload(backend, op_count=0, seed=1)
 
 
 def test_workload_odd_op_count():
-    backend = pr.double_backend()
+    backend = pr.DOUBLE
     checksum, _ = bench.workload(backend, op_count=101, seed=1)
     assert checksum == bench.workload(backend, op_count=102, seed=1)[0]
 
 
 def test_op_count_scaling_is_roughly_linear():
     # informational only: interpreter jitter makes hard assertions flaky
-    backend = pr.logpr_backend()
+    backend = pr.LOGPR
     _, small = bench.workload(backend, op_count=100_000, seed=2)
     _, large = bench.workload(backend, op_count=200_000, seed=2)
     print("bench linearity (informational): 2x ops took %.2fx time" % (large[0] / small[0]))

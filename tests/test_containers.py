@@ -336,7 +336,7 @@ def test_unigram_footprint():
 )
 def test_hash_table_footprint(spec, key, empty, full):
     before = accounting.totals()
-    t = HashTable(spec, initial_capacity=8)
+    t = HashTable(spec)
     assert _grown(before) == empty
     for i in range(100):
         t.insert(key(i), i)

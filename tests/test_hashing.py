@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from pakit import accounting
-from pakit.errors import ContractFault, DomainFault
+from pakit.errors import ContractFault
 from pakit.hashing import (
     HashSpec,
     HashStats,
@@ -26,7 +26,7 @@ def test_symbol_spec_is_deterministic():
 
 
 def test_insert_and_find():
-    t = HashTable(symbol_spec(), initial_capacity=8)
+    t = HashTable(symbol_spec())
     assert t.insert(41, "a") is False
     assert len(t) == 1
     assert t.find(41) == "a"
@@ -75,7 +75,7 @@ class _Colliding:
 
 def test_colliding_keys_both_retrievable():
     k1, k2 = _Colliding(1), _Colliding(2)
-    t = HashTable(symbol_spec(), initial_capacity=8)
+    t = HashTable(symbol_spec())
     t.insert(k1, "first")
     t.insert(k2, "second")
     assert t.find(_Colliding(1)) == "first"
@@ -85,7 +85,7 @@ def test_colliding_keys_both_retrievable():
 
 def test_remove_on_chain_leaves_rest_reachable():
     k1, k2, k3 = (_Colliding(n) for n in range(3))
-    t = HashTable(symbol_spec(), initial_capacity=8)
+    t = HashTable(symbol_spec())
     for k in (k1, k2, k3):
         t.insert(k, k.n)
     assert t.remove(k1) is True
@@ -158,7 +158,7 @@ def test_string_table_matches_map_oracle():
 
 
 def test_rehash_preserves_contents():
-    t = HashTable(symbol_spec(), initial_capacity=8)
+    t = HashTable(symbol_spec())
     expected = {}
     for i in range(200):  # forces several doublings
         t.insert(i, i * i)
@@ -169,8 +169,8 @@ def test_rehash_preserves_contents():
 
 
 def test_remove_heavy_table_keeps_its_capacity_and_no_tombstones():
-    t = HashTable(symbol_spec(), initial_capacity=64)
-    for i in range(40):
+    t = HashTable(symbol_spec())
+    for i in range(40):  # 8 -> 16 -> 32 -> 64
         t.insert(i, i)
     _, grown = accounting.totals()
     for i in range(39):
@@ -218,15 +218,10 @@ def test_mutation_after_the_last_live_slot_faults():
     t.destroy()
 
 
-def test_capacity_must_be_power_of_two():
-    with pytest.raises(DomainFault):
-        HashTable(symbol_spec(), initial_capacity=12)
-
-
 @pytest.mark.representation
 def test_footprint_follows_capacity():
     before = accounting.totals()
-    t = HashTable(symbol_spec(key_size=8), initial_capacity=8)
+    t = HashTable(symbol_spec(key_size=8))
     _, small = accounting.totals()
     for i in range(100):
         t.insert(i, i)
@@ -321,7 +316,7 @@ def test_none_is_an_ordinary_key(spec, key):
 ], ids=["symbol", "string"])
 def test_refused_insert_changes_nothing_at_the_growth_threshold(spec, key_of):
     # five keys at capacity 8: any accepted insert would double the table
-    t = HashTable(spec, initial_capacity=8)
+    t = HashTable(spec)
     for i in range(5):
         t.insert(key_of(i), i)
     for refused in ([1], bytearray(b"w1")):  # unhashable, so neither is a key
@@ -350,11 +345,13 @@ def test_a_mutable_key_is_refused():
 
 
 def test_stats_of_an_empty_table():
-    t = HashTable(symbol_spec(), initial_capacity=16)
-    assert t.stats() == HashStats(entries=0, capacity=16, load=0.0)
+    t = HashTable(symbol_spec())
+    assert t.stats() == HashStats(entries=0, capacity=8, load=0.0)
     for i in range(5):
         t.insert(i, i)
-    assert t.stats() == (5, 16, 5 / 16)
+    assert t.stats() == (5, 8, 5 / 8)
+    t.insert(5, 5)  # a sixth entry would pass MAX_LOAD of 8
+    assert t.stats() == (6, 16, 6 / 16)
     t.destroy()
 
 

@@ -35,6 +35,14 @@ def test_exactly_four_backends_double_first():
 def test_backend_by_name_rejects_unknown():
     with pytest.raises(DomainFault):
         pr.backend_by_name("quadruple")
+    with pytest.raises(DomainFault):
+        pr.backend_by_name(["x"])  # an unhashable name is unknown too, not a TypeError
+
+
+def test_descriptors_are_module_values():
+    assert pr.backends() == pr.backends() == [pr.DOUBLE, pr.LOGPR, pr.BALANCED, pr.FIXEDLOG]
+    for backend in pr.backends():
+        assert pr.backend_by_name(backend.name) is backend
 
 
 def test_backend_constants(backend):
@@ -89,21 +97,21 @@ def test_conformance_passes(backend):
 
 
 def test_conformance_double_is_nearly_exact():
-    report = pr.conformance(pr.double_backend(), sample_count=10_000, seed=5)
+    report = pr.conformance(pr.DOUBLE, sample_count=10_000, seed=5)
     by_name = {check.name: check for check in report.checks}
     assert by_name["roundtrip"].max_error <= 1e-15
     assert by_name["mul_chain"].max_error <= 1e-9
 
 
 def test_conformance_fixedlog_roundtrip_within_quantization():
-    report = pr.conformance(pr.fixedlog_backend(), sample_count=10_000, seed=6)
+    report = pr.conformance(pr.FIXEDLOG, sample_count=10_000, seed=6)
     by_name = {check.name: check for check in report.checks}
     assert by_name["roundtrip"].max_error <= 0.5 / fixedlog.SCALE
     assert by_name["roundtrip"].tolerance == 0.5 / fixedlog.SCALE
 
 
 def test_conformance_balanced_chain_within_budget():
-    report = pr.conformance(pr.balanced_backend(), sample_count=1000, seed=7)
+    report = pr.conformance(pr.BALANCED, sample_count=1000, seed=7)
     by_name = {check.name: check for check in report.checks}
     assert by_name["mul_chain"].max_error <= 1000 * 2.0**-22
 
@@ -168,7 +176,7 @@ def test_argmax_invariance_across_backends():
 
 def test_bench_chain_computes_one_function_on_every_backend():
     ops = 30_000
-    reference = pr.double_backend()
+    reference = pr.DOUBLE
     expected, _ = bench.workload(reference, ops, seed=1)
     for backend in pr.backends():
         checksum, _ = bench.workload(backend, ops, seed=1)
@@ -181,11 +189,11 @@ probability = st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, -0.0, 1.0, 5e
 
 @given(probability, probability)
 def test_double_mul_is_the_plain_product(a, b):
-    assert struct.pack(">d", pr.double_backend().mul(a, b)) == struct.pack(">d", a * b)
+    assert struct.pack(">d", pr.DOUBLE.mul(a, b)) == struct.pack(">d", a * b)
 
 
 def test_logpr_descriptor_uses_the_module_operations():
-    backend = pr.logpr_backend()
+    backend = pr.LOGPR
     assert backend.mul is logpr.mul
     assert backend.add is logpr.add
 
@@ -193,7 +201,7 @@ def test_logpr_descriptor_uses_the_module_operations():
 def test_logpr_results_write_the_pinned_bytes():
     # 3,004 add and 3,004 mul results, gaps past 745 and subnormals among
     # them; the digest is that of the code before mul became operator.add.
-    backend = pr.logpr_backend()
+    backend = pr.LOGPR
     rng = random.Random(4099)
     values = [logpr.ZERO, logpr.ONE, 745.5, 5e-324]
     for _ in range(1500):
@@ -296,16 +304,16 @@ in_range = st.tuples(probability, probability).map(sorted).filter(lambda pq: pq[
 @given(in_range)
 def test_in_range_results_are_unchanged(pq):
     p, q = pq
-    view = pr.balanced_backend()
+    view = pr.BALANCED
     a, b = view.from_real(p), view.from_real(q)
     assert _bits(a) == _bits(balanced.from_real(p))
     assert _bits(b) == _bits(balanced.from_real(q))
     assert _bits(view.add(a, b)) == _bits(balanced.add(a, b))
     if q > 0.0:
         assert _bits(view.div(a, b)) == _bits(balanced.div(a, b))
-        assert _bits(pr.double_backend().div(p, q)) == _bits(_raising_double_div(p, q))
+        assert _bits(pr.DOUBLE.div(p, q)) == _bits(_raising_double_div(p, q))
         x, y = logpr.from_real(p), logpr.from_real(q)
-        assert _bits(pr.logpr_backend().div(x, y)) == _bits(_raising_logpr_div(x, y))
+        assert _bits(pr.LOGPR.div(x, y)) == _bits(_raising_logpr_div(x, y))
 
 
 def test_to_real_gives_zero_below_the_double_range(backend):
@@ -317,7 +325,7 @@ def test_to_real_gives_zero_below_the_double_range(backend):
 
 
 def test_balanced_view_results_are_exact_tuples():
-    view = pr.balanced_backend()
+    view = pr.BALANCED
     f, one, zero = view.from_real, view.one, view.zero
     x, y = f(0.3), f(0.7)
     tiny = (0.5, -ALIGN_CUTOFF - 3)
@@ -369,7 +377,7 @@ def _outcome(operation, a, b):
 @example((0.5, -(1 << 30)), (0.5, -(1 << 30)))  # the product's exponent leaves the 32-bit range
 def test_balanced_view_mul_matches_the_module(a, b):
     # the view binds balanced.mul itself, so the reference is the module's bit-exact oracle
-    assert _outcome(pr.balanced_backend().mul, a, b)[1] == _outcome(oracle_mul, a, b)[1]
+    assert _outcome(pr.BALANCED.mul, a, b)[1] == _outcome(oracle_mul, a, b)[1]
 
 
 @given(
@@ -377,7 +385,7 @@ def test_balanced_view_mul_matches_the_module(a, b):
     st.lists(st.tuples(st.sampled_from(sorted(_MODULE_OPERATIONS)), canonical_probability), min_size=3, max_size=3),
 )
 def test_balanced_view_chains_match_the_module(start, steps):
-    view = pr.balanced_backend()
+    view = pr.BALANCED
     value, reference = start, start
     for name, operand in steps:
         if name == "div" and operand[0] == 0.0:
@@ -392,7 +400,7 @@ def test_balanced_view_chains_match_the_module(start, steps):
 @given(_significands, _significands, st.integers(-40, 0), st.integers(ALIGN_CUTOFF - 2, ALIGN_CUTOFF + 2))
 def test_balanced_view_add_matches_the_module_across_the_align_cutoff(sa, sb, exponent, gap):
     a, b = (sa, exponent), (sb, exponent - gap)
-    view = pr.balanced_backend()
+    view = pr.BALANCED
     for x, y in ((a, b), (b, a)):
         assert _bits(view.add(x, y)) == _bits(_clamped(balanced.add(x, y)))
 

@@ -81,12 +81,14 @@ def test_size():
 
 
 def test_symbol_out_of_range_faults():
-    t = Trie(1)
-    with pytest.raises(RangeFault):
-        t.index_of([256])
-    with pytest.raises(RangeFault):
-        t.index_of([-1])
-    t.destroy()
+    for width in (1, 2, 4, 8):
+        t = Trie(width)
+        for symbol in (1 << 8 * width, -1):  # [256] and [-1] at width 1
+            for form in (list, tuple):
+                with pytest.raises(RangeFault):
+                    t.index_of(form([symbol]))
+        assert t.index_of([(1 << 8 * width) - 1]) == 0
+        t.destroy()
 
 
 def test_bad_symbol_width_faults():
@@ -248,14 +250,19 @@ def test_string_of_gives_plain_ints():
 
 def test_integral_float_symbols_intern_as_ints():
     # the hit path compares the caller's tuple, where 6.0 == 6; a miss must agree
-    t = Trie(1)
-    assert t.index_of([6.0]) == 0
-    assert t.index_of([6]) == 0
-    assert [type(symbol) for symbol in t.string_of(0)] == [int]
-    with pytest.raises(DomainFault, match="symbol 6.5 is not an integer"):
-        t.index_of([6.5])
-    assert len(t) == 1
-    t.destroy()
+    for width in (1, 2, 4, 8):
+        t = Trie(width)
+        assert t.index_of([6.0]) == 0
+        assert t.index_of((6,)) == 0
+        assert t.index_of(bytes([6])) == 0
+        assert [type(symbol) for symbol in t.string_of(0)] == [int]
+        with pytest.raises(DomainFault, match="symbol 6.5 is not an integer"):
+            t.index_of([6.5])
+        with pytest.raises(DomainFault, match="symbol 6.5 is not an integer"):
+            t.find((6, 6.5))
+        assert len(t) == 1
+        assert _written(t) == struct.pack(">QQ", 1, 1) + (6).to_bytes(width, "big")
+        t.destroy()
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -299,14 +306,24 @@ def test_interned_strings_stay_small_in_real_bytes():
     ids=["bytes", "bytearray", "memoryview", "list", "tuple", "generator"],
 )
 def test_every_form_of_one_string_is_one_key(form):
-    t = Trie(1)
-    assert t.index_of(b"\x00ab") == 0
-    assert t.index_of(form(b"\x00ab")) == 0
-    assert t.find(form(b"\x00ab")) == 0
-    assert t.index_of(form(b"ab")) == 1
-    assert t.find(b"ab") == 1
-    assert len(t) == 2
-    t.destroy()
+    strings = [b"\x00ab", b"ab", b"\xff", b""]
+    for width in (1, 2, 4, 8):
+        t = Trie(width)
+        assert t.index_of(b"\x00ab") == 0
+        assert t.index_of(form(b"\x00ab")) == 0
+        assert t.find(form(b"\x00ab")) == 0
+        assert t.index_of(form(b"ab")) == 1
+        assert t.find(b"ab") == 1
+        assert t.index_of(form(b"\xff")) == 2
+        assert t.find(form(b"")) is None
+        assert t.index_of(form(b"")) == 3
+        assert [t.string_of(index) for index in range(len(t))] == [tuple(string) for string in strings]
+        # each symbol big-endian at the trie's width, whatever form it came in
+        assert _written(t) == struct.pack(">Q", len(strings)) + b"".join(
+            struct.pack(">Q", len(string)) + b"".join(symbol.to_bytes(width, "big") for symbol in string)
+            for string in strings
+        )
+        t.destroy()
 
 
 @pytest.mark.representation
