@@ -12,23 +12,28 @@ order, unsigned bytes (see the class docstring).
 
 A lookup reads a rank index, an open-addressing table of pair ranks
 (KenLM's PROBING structure; Heafield 2011, "KenLM: Faster and Smaller
-Language Model Queries"): an `array('I')` of power-of-two capacity at
-load at most `hashing.MAX_LOAD`, EMPTY in a free slot, searched by
-linear probing from `hash(key) & mask`.  So a lookup is expected O(1),
-one Python frame with no numpy call, and it reads key and datum of
-each probed pair with one unpack.  The first lookup after a size change
-builds the index in one pass over the keys, placing each rank in turn;
-every insert of a new key and every delete drops it, through the one
-method that changes the size, and a replace keeps it.  The index follows the per-process salt of `hash(bytes)`, so
-its layout differs from run to run while its answers do not.
+Language Model Queries"), searched by linear probing from
+`hash(key) & mask`.  Its bytes are 4 * c for the smallest power of two
+c with entries <= `hashing.MAX_LOAD` * c.  Up to 0xFFFF entries they
+hold an `array('H')` of 2c slots, at half that load; from 65,536
+entries on, an `array('I')` of c slots.  A slot holds rank + 1, so 0 is
+a free slot and a zeroed array is an empty index.  A lookup is expected
+O(1), one Python frame with no numpy call, and it reads key and datum
+of each probed pair with one unpack.  The first lookup after a size
+change builds the index in one pass over the keys, placing each rank in
+turn; every insert of a new key and every delete drops it, through the
+one method that changes the size, and a replace keeps it.  The index
+follows the per-process salt of `hash(bytes)`, so its layout differs
+from run to run while its answers do not.
 
 The index is a cache derived from the pairs.  It is not accounted, and
 `stats()` reports its bytes.  On the 36,098 pairs (433,176 B) of the
-seed-101 `ngram-build` model it holds 262,144 B of slots, and its build
-peaks 262,717 B above the live table under `tracemalloc`, since the keys
-stream from the pair buffer and only the index is held.  A build takes
-12-20 ms there on a shared 2-core VM, which a table mutated between
-lookups pays each time; no workload does.
+seed-101 `ngram-build` model it holds 262,144 B in 131,072 slots, at
+load 0.28, and its build peaks 262,806 B above the live table under
+`tracemalloc`, since the keys stream from the pair buffer and only the
+index is held.  A held-out lookup there reads 1.23 slots.  A build
+takes 9-15 ms there on a shared 2-core VM, which a table mutated
+between lookups pays each time; no workload does.
 
 One Struct, `<key_size>s<datum_size>x`, reads every key: its
 `unpack_from` gives the key at each step of `_search`, the bisect over
@@ -51,16 +56,17 @@ from .accounting import Container
 from .errors import ContractFault, DecodeFault, DomainFault, RangeFault
 from .hashing import MAX_LOAD
 
-EMPTY = 0xFFFFFFFF  # a free slot of the rank index
-
 
 class CompactStats(NamedTuple):
     """A CompactTable's lookup index: entries, slots, the longest probe and its bytes.
 
-    Slots and bytes are 0 before the index is built.  The longest probe
-    is the most slots a lookup of a stored key reads, 1 for a key in its
-    home slot, 0 when the index is empty or not built.  The bytes are
-    the index's slots, which no accounted block counts.
+    `capacity` counts slots, each 2 bytes while the table holds at most
+    0xFFFF entries and 4 bytes from then on; a slot holds rank + 1, and
+    0 marks a free one.  Slots and bytes are 0 before the index is built.
+    The longest probe is the most slots a lookup of a stored key reads,
+    1 for a key in its home slot, 0 when the index is empty or not
+    built.  The bytes are the index's slots, which no accounted block
+    counts.
     """
 
     entries: int
@@ -107,16 +113,21 @@ class CompactTable(Container):
         return key
 
     def _rank_index(self) -> array:
-        """Every rank of _pairs placed by linear probing from hash(key) & mask."""
+        """Every rank + 1 of _pairs placed by linear probing from hash(key) & mask; 0 is a free slot."""
         capacity, count = 1, len(self)
         while count > MAX_LOAD * capacity:
             capacity *= 2
-        index, mask = array("I", [EMPTY]) * capacity, capacity - 1
-        for rank, (key,) in enumerate(self._key_reader.iter_unpack(self._pairs)):
+        # 4 * capacity bytes, as twice the 2-byte slots while rank + 1 fits them
+        code = "I"
+        if count <= 0xFFFF:
+            code, capacity = "H", 2 * capacity
+        # from [0], not bytes(n): a temporary of the index's size would double the build's peak
+        index, mask = array(code, [0]) * capacity, capacity - 1
+        for stored, (key,) in enumerate(self._key_reader.iter_unpack(self._pairs), 1):
             slot = hash(key) & mask
-            while index[slot] != EMPTY:
+            while index[slot]:
                 slot = (slot + 1) & mask
-            index[slot] = rank
+            index[slot] = stored
         return index
 
     def _search(self, key: bytes) -> tuple[bool, int]:
@@ -140,8 +151,8 @@ class CompactTable(Container):
         slot = hash(key) & mask
         rank = index[slot]
         pair_from, pairs, pair_size = self._pair_from, self._pairs, key_size + self.datum_size
-        while rank != EMPTY:
-            stored, datum = pair_from(pairs, rank * pair_size)
+        while rank:  # a slot holds rank + 1, and 0 is free
+            stored, datum = pair_from(pairs, (rank - 1) * pair_size)
             if stored == key:
                 return datum
             slot = (slot + 1) & mask
@@ -182,14 +193,14 @@ class CompactTable(Container):
         self._resize(len(self._pairs))
 
     def stats(self) -> CompactStats:
-        """The lookup index now, found by walking it; nothing is counted for this."""
+        """The lookup index now, found by walking its slots of rank + 1 (0 free); nothing is counted for this."""
         index, entries = self._index, len(self)
         if index is None:
             return CompactStats(entries, 0, 0, 0)
         mask, longest = len(index) - 1, 0
-        for slot, rank in enumerate(index):
-            if rank != EMPTY:
-                longest = max(longest, (slot - hash(self._key_at(rank))) & mask)
+        for slot, stored in enumerate(index):
+            if stored:
+                longest = max(longest, (slot - hash(self._key_at(stored - 1))) & mask)
         return CompactStats(
             entries, len(index), longest + 1 if entries else 0, len(index) * index.itemsize
         )

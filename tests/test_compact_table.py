@@ -325,13 +325,21 @@ def check_probes(table, reference, probes):
 
 
 def check_index_stats(table):
-    """A built index: a power-of-two capacity, the smallest with entries <= MAX_LOAD * capacity."""
+    """A built index: 4 * c bytes for the smallest power of two c with entries <= MAX_LOAD * c.
+
+    The bytes hold 2-byte slots up to 0xFFFF entries and 4-byte slots
+    from then on; a slot holds rank + 1, and 0 is a free slot.
+    """
     entries, capacity, longest, index_bytes = table.stats()
-    assert index_bytes == len(table._index) * table._index.itemsize == 4 * capacity
+    index = table._index
+    assert index.typecode == ("H" if entries <= 0xFFFF else "I")
+    assert index_bytes == len(index) * index.itemsize == capacity * index.itemsize
+    assert sorted(filter(None, index)) == list(range(1, entries + 1))
+    budget = index_bytes // 4
     assert entries == len(table)
-    assert capacity & (capacity - 1) == 0
-    assert entries <= MAX_LOAD * capacity
-    assert capacity == 1 or entries > MAX_LOAD * capacity / 2
+    assert budget & (budget - 1) == 0
+    assert entries <= MAX_LOAD * budget
+    assert budget == 1 or entries > MAX_LOAD * budget / 2
     assert 1 <= longest <= entries if entries else longest == 0
     return capacity
 
@@ -340,7 +348,7 @@ def check_index_stats(table):
 @pytest.mark.parametrize("key_size", [1, 3, 8])
 @pytest.mark.parametrize("datum_size", [0, 4])
 def test_fence_lookups_match_a_dict(key_size, datum_size):
-    # 0 to 100 keys, one insert at a time, straddle every capacity doubling from 1 to 256 slots
+    # 0 to 100 keys, one insert at a time, straddle every capacity doubling from 2 to 512 slots
     everything = index_reference(key_size, datum_size, 100, seed=7)
     probes = index_probes(key_size, everything)
     order = random.Random(key_size).sample(sorted(everything), len(everything))
@@ -355,7 +363,7 @@ def test_fence_lookups_match_a_dict(key_size, datum_size):
             check_probes(table, reference, probes)
             assert accounting.totals() == accounted  # the index is not accounted
             capacities.add(check_index_stats(table))
-        assert capacities == {1 << bits for bits in range(9)}
+        assert capacities == {2 << bits for bits in range(9)}
     finally:
         table.destroy()
 
@@ -374,7 +382,7 @@ def test_fence_lookups_after_replace_insert_and_delete(key_size, datum_size):
         for key, datum in reference.items():
             table.insert(key, datum)
         check_probes(table, reference, probes)
-        assert check_index_stats(table) == 128  # 89 keys
+        assert check_index_stats(table) == 256  # 89 keys
         index = table._index
         for key in sorted(reference)[::7]:  # a replace keeps the size, so the index stays
             datum = bytes(reversed(reference[key])) or reference[key]
@@ -390,14 +398,14 @@ def test_fence_lookups_after_replace_insert_and_delete(key_size, datum_size):
             assert table.lookup(key) == bytes(datum_size)
             check_index_stats(table)
             check_probes(table, reference, probes)
-        assert check_index_stats(table) == 256  # 92 keys
+        assert check_index_stats(table) == 512  # 92 keys
         for key in keys[::30]:  # so does each delete, 4 of them
             assert table.delete(key) is True
             del reference[key]
             assert table.stats()[1:] == (0, 0, 0)
             check_probes(table, reference, probes)
             check_index_stats(table)
-        assert check_index_stats(table) == 128  # 88 keys
+        assert check_index_stats(table) == 256  # 88 keys
         assert list(table.items()) == sorted(reference.items())
     finally:
         table.destroy()
@@ -414,10 +422,43 @@ def test_stats_longest_probe_walks_the_index():
         mask, probes = len(index) - 1, []
         for rank, (key, _) in enumerate(table.items()):
             slot, length = hash(key) & mask, 1
-            while index[slot] != rank:
+            while index[slot] != rank + 1:
                 slot, length = (slot + 1) & mask, length + 1
             probes.append(length)
-        assert table.stats() == (1000, 2048, max(probes), 2048 * 4)
+        assert table.stats() == (1000, 4096, max(probes), 4096 * 2)
+    finally:
+        table.destroy()
+
+
+@pytest.mark.representation
+@pytest.mark.parametrize("count, code, slots", [(0xFFFF, "H", 262_144), (0x10000, "I", 131_072)])
+def test_the_index_width_switches_past_0xffff_entries(count, code, slots):
+    # the same 524,288 B either side of the switch: 2-byte slots while rank + 1 fits them
+    rng = random.Random(count)
+    keys = sorted({rng.randbytes(8) for _ in range(count + 64)})[:count]
+    reference = {key: rank.to_bytes(4, "big") for rank, key in enumerate(keys)}
+    absent = []
+    while len(absent) < 1000:
+        key = rng.randbytes(8)
+        if key not in reference:
+            absent.append(key)
+    stream = BytesIO()
+    wire.write_records(stream, count, b"".join(key + datum for key, datum in reference.items()))
+    stream.seek(0)
+    table = CompactTable.read(stream, 8, 4)
+    try:
+        probes = keys + absent
+        assert [table.lookup(key) for key in probes] == [reference.get(key) for key in probes]
+        index = table._index
+        assert (index.typecode, len(index)) == (code, slots)
+        mask, longest = len(index) - 1, 0
+        for rank, key in enumerate(keys):
+            slot, length = hash(key) & mask, 1
+            while index[slot] != rank + 1:
+                slot, length = (slot + 1) & mask, length + 1
+            longest = max(longest, length)
+        assert table.stats() == (count, slots, longest, 524_288)
+        assert check_index_stats(table) == slots
     finally:
         table.destroy()
 
