@@ -90,37 +90,37 @@ class Container:
     raises `ContractFault`, and then drops every slot, so no subclass
     checks liveness or drops its own storage.
 
-    Iteration follows one rule, as `dict` does: an iterator raises
-    `ContractFault` at its next step once an operation that changes the
-    size has run since the iterator began, including after its last
-    entry.  A write in place that keeps the size (`Vector.__setitem__`,
-    a `CompactTable.insert` that replaces a datum) does not count.
-    `HashTable` is stricter: any insert or remove since the iterator
-    began counts, even one that replaces a datum.
+    Iteration follows one rule, as `dict` does: `_mods` counts the
+    operations that end an iteration, and every iterator runs through
+    `_guarded`, which raises `ContractFault` at its next step, also after
+    its last entry, once `_mods` has moved since the iterator began.
+    `Vector` and `CompactTable` count each operation that changes the
+    size, so a write in place (`Vector.__setitem__`, a replace) does not
+    count; `HashTable` counts every insert and remove, even a replace.
     """
 
-    __slots__ = ("_token",)
+    __slots__ = ("_token", "_mods")
 
     HEADER_BYTES = 48
 
     def __init__(self, payload: int = 0):
+        self._mods = 0
         self._token = register(self.HEADER_BYTES + payload)
 
     def _resize(self, payload: int) -> None:
         resize(self._token, self.HEADER_BYTES + payload)
 
-    def _check_size(self, value, size: int, what: str) -> bytes:
-        """`value` as bytes of exactly `size` bytes; ContractFault for anything else.
-
-        Only bytes-like values pass: `bytes(3)` would be three zero bytes.
-        """
-        try:
-            value = memoryview(value).tobytes()
-        except TypeError:
-            raise ContractFault("%s must be bytes-like, got %s" % (what, type(value).__name__)) from None
-        if len(value) != size:
-            raise ContractFault("%s is %d bytes, expected %d" % (what, len(value), size))
-        return value
+    def _guarded(self, mods: int, steps, fault: str):
+        """Yield each of `steps` while `_mods` is still `mods`, checked before each step and after the last."""
+        # checked before `steps` advances, so no step runs on moved storage; reading
+        # a slot, the check also faults once the container is destroyed
+        if self._mods == mods:
+            for step in steps:
+                yield step
+                if self._mods != mods:
+                    break
+        if self._mods != mods:
+            raise ContractFault(fault)
 
     @contextlib.contextmanager
     def _destroy_on_error(self):

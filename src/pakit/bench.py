@@ -89,6 +89,8 @@ def run(op_count: int = DEFAULT_OPS, seed: int = 1, backends=None) -> list[Bench
         if unknown:
             raise DomainFault("unknown backend name(s): %s" % ", ".join(sorted(unknown)))
         chosen = [backend for backend in chosen if backend.name in backends]
+        if not chosen:
+            raise DomainFault("no backend selected")
 
     timed = [(backend.name, *workload(backend, op_count, seed)) for backend in chosen]
     baseline = next((min(seconds) for name, _, seconds in timed if name == "double"), None)

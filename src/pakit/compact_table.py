@@ -27,21 +27,14 @@ follows the per-process salt of `hash(bytes)`, so its layout differs
 from run to run while its answers do not.
 
 The index is a cache derived from the pairs.  It is not accounted, and
-`stats()` reports its bytes.  On the 36,098 pairs (433,176 B) of the
-seed-101 `ngram-build` model it holds 262,144 B in 131,072 slots, at
-load 0.28, and its build peaks 262,806 B above the live table under
-`tracemalloc`, since the keys stream from the pair buffer and only the
-index is held.  A held-out lookup there reads 1.23 slots.  A build
-takes 9-15 ms there on a shared 2-core VM, which a table mutated
-between lookups pays each time; no workload does.
+`stats()` reports its bytes.  Its build streams the keys from the pair
+buffer, so it holds little more than the index itself.
 
-One Struct, `<key_size>s<datum_size>x`, reads every key: its
-`unpack_from` gives the key at each step of `_search`, the bisect over
-ranks that insert and delete use, and its `iter_unpack` streams the keys
-to the index build.  numpy runs only in the order check when a table is
-read, on a strided view of the pair buffer that it drops before
-returning.  No view outlives the call: `np.ndarray(buffer=...)` does not
-pin a bytearray, so a view kept across a resize would read freed memory.
+The pairs are `Records` (see `vector`), the store `Vector` has too.  One
+Struct, `<key_size>s<datum_size>x`, reads every key: its `unpack_from`
+gives the key at each step of `_search`, the bisect over ranks that
+insert and delete use, and its `iter_unpack` streams the keys to the
+index build.  numpy runs only in the order check when a table is read.
 """
 
 import struct
@@ -51,10 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import wire
-from .accounting import Container
-from .errors import ContractFault, DecodeFault, DomainFault, RangeFault
+from .errors import DecodeFault, DomainFault, RangeFault
 from .hashing import MAX_LOAD
+from .vector import Records
 
 
 class CompactStats(NamedTuple):
@@ -75,7 +67,7 @@ class CompactStats(NamedTuple):
     index_bytes: int
 
 
-class CompactTable(Container):
+class CompactTable(Records):
     """Sorted (key, datum) table over fixed-size byte blocks.
 
     Key order: unsigned lexicographic bytes (`memcmp` order), which for
@@ -90,7 +82,7 @@ class CompactTable(Container):
     pays one build; `insert` and `delete` search the sorted run itself.
     """
 
-    __slots__ = ("key_size", "datum_size", "_pairs", "_mods", "_index", "_key_reader", "_pair_from")
+    __slots__ = ("key_size", "datum_size", "_index", "_key_reader", "_pair_from")
 
     def __init__(self, key_size: int, datum_size: int):
         if key_size < 1:
@@ -99,21 +91,19 @@ class CompactTable(Container):
             raise DomainFault("datum_size must be >= 0, got %d" % datum_size)
         self.key_size = key_size
         self.datum_size = datum_size
-        self._pairs = bytearray()
-        self._mods = 0  # new-key inserts and deletes so far, for the iteration rule
         self._index = None  # built by the first lookup after a size change
-        # pair readers that copy into bytes and hold no export of _pairs after
+        # pair readers that copy into bytes and hold no export of the pairs after
         # the call, or, for iter_unpack, after the last key
         self._key_reader = struct.Struct("%ds%dx" % (key_size, datum_size))
         self._pair_from = struct.Struct("%ds%ds" % (key_size, datum_size)).unpack_from
-        super().__init__()
+        super().__init__(key_size + datum_size)
 
     def _key_at(self, rank: int) -> bytes:
-        (key,) = self._key_reader.unpack_from(self._pairs, rank * (self.key_size + self.datum_size))
+        (key,) = self._key_reader.unpack_from(self._buf, rank * self._record_size)
         return key
 
     def _rank_index(self) -> array:
-        """Every rank + 1 of _pairs placed by linear probing from hash(key) & mask; 0 is a free slot."""
+        """Every rank + 1 of the pairs placed by linear probing from hash(key) & mask; 0 is a free slot."""
         capacity, count = 1, len(self)
         while count > MAX_LOAD * capacity:
             capacity *= 2
@@ -123,7 +113,7 @@ class CompactTable(Container):
             code, capacity = "H", 2 * capacity
         # from [0], not bytes(n): a temporary of the index's size would double the build's peak
         index, mask = array(code, [0]) * capacity, capacity - 1
-        for stored, (key,) in enumerate(self._key_reader.iter_unpack(self._pairs), 1):
+        for stored, (key,) in enumerate(self._key_reader.iter_unpack(self._buf), 1):
             slot = hash(key) & mask
             while index[slot]:
                 slot = (slot + 1) & mask
@@ -134,10 +124,7 @@ class CompactTable(Container):
         """Binary search: (True, rank) if present, else (False, insertion rank)."""
         rank = bisect_left(range(len(self)), key, key=self._key_at)
         # past the last pair, startswith is False
-        return self._pairs.startswith(key, rank * (self.key_size + self.datum_size)), rank
-
-    def __len__(self) -> int:
-        return len(self._pairs) // (self.key_size + self.datum_size)
+        return self._buf.startswith(key, rank * self._record_size), rank
 
     def lookup(self, key):
         """Return the datum bytes paired with `key`, or None if absent."""
@@ -150,7 +137,7 @@ class CompactTable(Container):
         mask = len(index) - 1  # the probe loop is kept inline, so a lookup is one Python frame
         slot = hash(key) & mask
         rank = index[slot]
-        pair_from, pairs, pair_size = self._pair_from, self._pairs, key_size + self.datum_size
+        pair_from, pairs, pair_size = self._pair_from, self._buf, self._record_size
         while rank:  # a slot holds rank + 1, and 0 is free
             stored, datum = pair_from(pairs, (rank - 1) * pair_size)
             if stored == key:
@@ -167,10 +154,9 @@ class CompactTable(Container):
         key = self._check_size(key, self.key_size, "key")
         datum = self._check_size(datum, self.datum_size, "datum")
         found, rank = self._search(key)
-        pair_size = self.key_size + self.datum_size
-        offset = rank * pair_size
+        offset = rank * self._record_size
         if found:
-            self._pairs[offset + self.key_size : offset + pair_size] = datum
+            self._buf[offset + self.key_size : offset + self._record_size] = datum
             return True
         self._splice(offset, offset, key + datum)
         return False
@@ -180,17 +166,13 @@ class CompactTable(Container):
         found, rank = self._search(self._check_size(key, self.key_size, "key"))
         if not found:
             return False
-        pair_size = self.key_size + self.datum_size
-        offset = rank * pair_size
-        self._splice(offset, offset + pair_size, b"")
+        offset = rank * self._record_size
+        self._splice(offset, offset + self._record_size, b"")
         return True
 
-    def _splice(self, start: int, stop: int, pairs: bytes) -> None:
-        """Put `pairs` in place of the bytes from start to stop: the one path that changes the size."""
-        self._index = None
-        self._pairs[start:stop] = pairs
-        self._mods += 1
-        self._resize(len(self._pairs))
+    def _splice(self, start: int, stop: int, pairs) -> None:
+        self._index = None  # the ranks move, so the next lookup builds the index again
+        super()._splice(start, stop, pairs)
 
     def stats(self) -> CompactStats:
         """The lookup index now, found by walking its slots of rank + 1 (0 free); nothing is counted for this."""
@@ -209,45 +191,20 @@ class CompactTable(Container):
         """Return the rank-th smallest (key, datum); 0 <= rank < len."""
         if not 0 <= rank < len(self):
             raise RangeFault("rank %d out of range for %d entries" % (rank, len(self)))
-        return self._pair_from(self._pairs, rank * (self.key_size + self.datum_size))
+        return self._pair_from(self._buf, rank * self._record_size)
 
     def items(self):
         """Iterator over (key, datum) pairs in key order."""
-        return self._pairs_from(len(self), self._mods)
-
-    def _pairs_from(self, count: int, mods: int):
-        # _mods, not the length: a delete then an insert moves the pairs but not the size
-        pair_from, pair_size = self._pair_from, self.key_size + self.datum_size
-        for offset in range(0, count * pair_size, pair_size):
-            if self._mods != mods:  # reads a slot each step: a destroyed table faults too
-                raise ContractFault("CompactTable changed size during iteration")
-            yield pair_from(self._pairs, offset)
-        if self._mods != mods:  # a change after the last pair
-            raise ContractFault("CompactTable changed size during iteration")
-
-    def write(self, stream) -> None:
-        """Write 8-byte entry count, then the raw sorted pair bytes."""
-        wire.write_records(stream, len(self), self._pairs)
+        return self._each(self._pair_from)
 
     @classmethod
     def read(cls, stream, key_size: int, datum_size: int) -> "CompactTable":
         """Inverse of write; the sizes are supplied by the caller."""
-        table = cls(key_size, datum_size)
-        with table._destroy_on_error():
-            table._pairs = bytearray(wire.read_records(stream, key_size + datum_size)[1])
-            rank = table._first_unsorted_rank()  # stream must already obey the key order
-            if rank is not None:
-                raise DecodeFault("stream keys not strictly sorted at rank %d" % rank)
-        table._resize(len(table._pairs))
-        return table
+        return cls(key_size, datum_size)._read(stream)
 
-    def _first_unsorted_rank(self):
-        """Smallest rank whose key is not above the key before it, or None."""
-        # numpy compares `S` values with trailing NUL bytes stripped, which
-        # for keys of one fixed width is exactly lexicographic byte order
-        keys = np.ndarray(
-            (len(self),), dtype="S%d" % self.key_size,
-            buffer=self._pairs, strides=(self.key_size + self.datum_size,),
-        )
+    def _check_read(self) -> None:
+        """DecodeFault unless the keys read are strictly ascending: the stream must obey the key order."""
+        keys = self._column(self.key_size)
         out_of_order = np.flatnonzero(keys[1:] <= keys[:-1])
-        return int(out_of_order[0]) + 1 if out_of_order.size else None
+        if out_of_order.size:
+            raise DecodeFault("stream keys not strictly sorted at rank %d" % (out_of_order[0] + 1))

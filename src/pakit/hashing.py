@@ -22,7 +22,6 @@ open-addressing table's slots would.  Removes never shrink it.
 from typing import NamedTuple, Optional
 
 from .accounting import Container
-from .errors import ContractFault
 
 MAX_LOAD = 0.7
 
@@ -58,14 +57,13 @@ def string_spec() -> HashSpec:
 class HashTable(Container):
     """<key, datum> table over one dict, with an open-addressing table's accounted footprint."""
 
-    __slots__ = ("_spec", "_map", "_capacity", "_limit", "_mods")
+    __slots__ = ("_spec", "_map", "_capacity", "_limit")
 
     def __init__(self, spec: HashSpec):
         self._spec = spec
         self._map = {}
         self._capacity = 8
         self._limit = MAX_LOAD * self._capacity
-        self._mods = 0
         super().__init__(self._slot_bytes * self._capacity)
 
     @property
@@ -130,15 +128,4 @@ class HashTable(Container):
 
         A key removed and inserted again counts from its new insert.
         """
-        return self._entries(self._mods)
-
-    def _entries(self, mods: int):
-        # _mods is checked before each step of the dict's iterator, so a mutation
-        # raises ContractFault here before the dict could raise its own RuntimeError
-        if mods == self._mods:
-            for entry in self._map.items():
-                yield entry
-                if mods != self._mods:
-                    break
-        if mods != self._mods:
-            raise ContractFault("HashTable mutated during iteration")
+        return self._guarded(self._mods, self._map.items(), "HashTable mutated during iteration")

@@ -1,16 +1,19 @@
-"""Length-delimited sequence of fixed-size elements.
+"""Fixed-size records in one buffer: the `Records` store, and `Vector` on it.
 
-Elements are opaque byte blocks of one size fixed at construction, held
-in a single contiguous buffer, so a vector of n elements costs
-n * element_size bytes plus a small header.  Supports insertion,
-concatenation, sorting, and portable serialization.  Element *contents*
-are written verbatim; only the framing is architecture-independent.
-`sort` orders elements as unsigned bytes, in numpy, in place, on a
-zero-copy `S<element_size>` view of the buffer; another order is a
-matter of encoding the elements (see the `CompactTable` docstring).
+`Records` is what `Vector` and `CompactTable` share: records of one
+size fixed at construction in one contiguous `bytearray` (n records cost
+n * record_size bytes plus a small header), the size rule of a block,
+`_splice`, `write` and its inverse `read`, and one numpy `S<width>` view
+that gives both `Vector.sort` and `CompactTable.read` unsigned byte
+order.  So a `Vector` of `k + d`-byte elements sorted by key writes
+exactly the stream of a `CompactTable(k, d)`.  Element *contents* are
+written verbatim; only the framing is architecture-independent.  Another
+order than unsigned bytes is a matter of encoding the elements (see the
+`CompactTable` docstring).
 """
 
 import struct
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -19,119 +22,163 @@ from .accounting import Container
 from .errors import ContractFault, DomainFault, RangeFault
 
 
-class Vector(Container):
+class Records(Container):
+    """Records of one fixed size in one bytearray: the store of `Vector` and `CompactTable`."""
+
+    __slots__ = ("_buf", "_record_size")
+
+    def __init__(self, record_size: int):
+        self._buf = bytearray()
+        self._record_size = record_size
+        super().__init__()
+
+    def __len__(self) -> int:
+        return len(self._buf) // self._record_size
+
+    def _check_size(self, value, size: int, what: str) -> bytes:
+        """`value` as bytes of exactly `size` bytes; ContractFault for anything else.
+
+        Only bytes-like values pass: `bytes(3)` would be three zero bytes.
+        """
+        try:
+            value = memoryview(value).tobytes()
+        except TypeError:
+            raise ContractFault("%s must be bytes-like, got %s" % (what, type(value).__name__)) from None
+        if len(value) != size:
+            raise ContractFault("%s is %d bytes, expected %d" % (what, len(value), size))
+        return value
+
+    def _splice(self, start: int, stop: int, records) -> None:
+        """Put `records` in place of the bytes from start to stop; every size change but an append's."""
+        self._buf[start:stop] = records
+        self._mods += 1
+        self._resize(len(self._buf))
+
+    def _each(self, read):
+        """An iterator of `read(buffer, offset)` for each record in turn, under the iteration rule."""
+        records = map(read, repeat(self._buf), range(0, len(self._buf), self._record_size))
+        return self._guarded(self._mods, records, "%s changed size during iteration" % type(self).__name__)
+
+    def _column(self, width: int) -> np.ndarray:
+        """The first `width` bytes of every record as a numpy `S<width>` array sharing the buffer.
+
+        numpy orders `S` values with trailing NULs stripped: for one fixed
+        width that is unsigned byte order.  The array holds no export of the
+        bytearray, so a caller drops it before the size changes.
+        """
+        return np.ndarray((len(self),), dtype="S%d" % width, buffer=self._buf, strides=(self._record_size,))
+
+    def write(self, stream) -> None:
+        """Write 8-byte record count, then the raw record bytes."""
+        wire.write_records(stream, len(self), self._buf)
+
+    def _read(self, stream):
+        """This new, empty store filled from `stream` (the inverse of write); a fault destroys it."""
+        with self._destroy_on_error():
+            self._splice(0, 0, wire.read_records(stream, self._record_size)[1])
+            self._check_read()
+        return self
+
+    def _check_read(self) -> None:
+        """Raise DecodeFault if the records just read break a rule of the subclass; `Vector` has none."""
+
+
+class Vector(Records):
     """Growable sequence of fixed-size byte elements."""
 
-    __slots__ = ("element_size", "_buf", "_element_from")
+    __slots__ = ("_element_from",)
 
     HEADER_BYTES = 32
 
     def __init__(self, element_size: int, elements=()):
         if element_size < 1:
             raise DomainFault("element_size must be >= 1, got %d" % element_size)
-        self.element_size = element_size
-        self._buf = bytearray()
         # copies one element into bytes and holds no export of _buf after the call
         self._element_from = struct.Struct("%ds" % element_size).unpack_from
-        super().__init__()
+        super().__init__(element_size)
         with self._destroy_on_error():
             self.extend(elements)
 
-    def __len__(self) -> int:
-        return len(self._buf) // self.element_size
+    @property
+    def element_size(self) -> int:
+        """The size of every element in bytes; read-only."""
+        return self._record_size
 
     def __getitem__(self, index: int) -> bytes:
-        n = len(self._buf) // self.element_size
+        n = len(self._buf) // self._record_size
         if index < 0:
             index += n
         if not 0 <= index < n:
             raise RangeFault("index %d out of range for length %d" % (index, n))
-        (element,) = self._element_from(self._buf, index * self.element_size)
+        (element,) = self._element_from(self._buf, index * self._record_size)
         return element
 
     def __setitem__(self, index: int, element) -> None:
-        element = self._check_size(element, self.element_size, "element")
+        element = self._check_size(element, self._record_size, "element")
         n = len(self)
         if index < 0:
             index += n
         if not 0 <= index < n:
             raise RangeFault("index %d out of range for length %d" % (index, n))
-        offset = index * self.element_size
-        self._buf[offset : offset + self.element_size] = element
+        offset = index * self._record_size
+        self._buf[offset : offset + self._record_size] = element
 
     def __iter__(self):
-        return self._elements(len(self._buf))
-
-    def _elements(self, size: int):
-        element_from = self._element_from
-        for offset in range(0, size, self.element_size):
-            if len(self._buf) != size:
-                raise ContractFault("Vector changed size during iteration")
-            (element,) = element_from(self._buf, offset)
-            yield element
-        if len(self._buf) != size:  # a change after the last element
-            raise ContractFault("Vector changed size during iteration")
+        # element_from gives 1-tuples, which chain flattens one step at a time
+        return chain.from_iterable(self._each(self._element_from))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vector):
             return NotImplemented
-        return self.element_size == other.element_size and self._buf == other._buf
+        return self._record_size == other._record_size and self._buf == other._buf
 
     def append(self, element) -> None:
-        if type(element) is not bytes or len(element) != self.element_size:
-            element = self._check_size(element, self.element_size, "element")
+        if type(element) is not bytes or len(element) != self._record_size:
+            element = self._check_size(element, self._record_size, "element")
+        # _splice inline: this is the per-pair call of a freeze
         self._buf += element
+        self._mods += 1
         self._resize(len(self._buf))
 
     def extend(self, elements) -> None:
         """Append every element, checked as `append` checks it; all or nothing, one resize."""
-        size = self.element_size
-        checked = [
+        size = self._record_size
+        joined = b"".join([
             element if type(element) is bytes and len(element) == size
             else self._check_size(element, size, "element")
             for element in elements
-        ]
-        self._buf += b"".join(checked)
-        self._resize(len(self._buf))
+        ])
+        if joined:  # an empty extend changes nothing, so it ends no iteration
+            self._splice(len(self._buf), len(self._buf), joined)
 
     def insert(self, position: int, element) -> None:
         """Insert `element` so it ends up at `position`; 0 <= position <= len."""
-        element = self._check_size(element, self.element_size, "element")
+        element = self._check_size(element, self._record_size, "element")
         if not 0 <= position <= len(self):
             raise RangeFault(
                 "insert position %d out of range for length %d" % (position, len(self))
             )
-        offset = position * self.element_size
-        self._buf[offset:offset] = element
-        self._resize(len(self._buf))
+        offset = position * self._record_size
+        self._splice(offset, offset, element)
 
     def concat(self, other: "Vector") -> "Vector":
         """Return a new vector holding self's elements then other's."""
-        if self.element_size != other.element_size:
+        if not isinstance(other, Vector):
+            raise ContractFault("cannot concat a Vector with %s" % type(other).__name__)
+        if self._record_size != other._record_size:
             raise ContractFault(
                 "cannot concat vectors with element sizes %d and %d"
-                % (self.element_size, other.element_size)
+                % (self._record_size, other._record_size)
             )
-        joined = Vector(self.element_size)
-        joined._buf = self._buf + other._buf
-        joined._resize(len(joined._buf))
+        joined = Vector(self._record_size)
+        joined._splice(0, 0, self._buf + other._buf)
         return joined
 
     def sort(self) -> None:
         """Sort elements in place in unsigned lexicographic byte order."""
-        # numpy orders `S` values with trailing NULs stripped: for one
-        # fixed width that is lexicographic byte order
-        np.frombuffer(self._buf, dtype="S%d" % self.element_size).sort()
-
-    def write(self, stream) -> None:
-        """Write 8-byte element count, then the raw element bytes."""
-        wire.write_records(stream, len(self), self._buf)
+        self._column(self._record_size).sort()
 
     @classmethod
     def read(cls, stream, element_size: int) -> "Vector":
         """Inverse of write; the element size is supplied by the caller."""
-        payload = wire.read_records(stream, element_size)[1]
-        v = cls(element_size)
-        v._buf = bytearray(payload)
-        v._resize(len(v._buf))
-        return v
+        return cls(element_size)._read(stream)

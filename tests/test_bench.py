@@ -107,6 +107,11 @@ def test_run_unknown_backend_faults():
         bench.run(op_count=10, backends=("double", "quadruple"))
 
 
+def test_run_with_no_backend_faults():
+    with pytest.raises(DomainFault, match="^no backend selected$"):
+        bench.run(op_count=10, backends=())
+
+
 def test_format_text_includes_ordering_note():
     results = bench.run(op_count=5_000, backends=("logpr", "fixedlog"))
     text = bench.format_text(results)
@@ -144,6 +149,11 @@ def test_cli_text_output():
 def test_cli_reports_usage_fault():
     exit_code = bench.main(["--ops", "10", "--backends", "nonsense"])
     assert exit_code == 2
+
+
+def test_cli_refuses_an_empty_selection(capsys):
+    assert bench.main(["--ops", "30", "--backends", ","]) == 2
+    assert capsys.readouterr() == ("", "pa-bench: no backend selected\n")
 
 
 def test_cli_subprocess_csv():

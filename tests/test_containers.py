@@ -17,7 +17,7 @@ import pytest
 
 from pakit import accounting
 from pakit.compact_table import CompactTable
-from pakit.errors import ContractFault, DomainFault
+from pakit.errors import ContractFault, DecodeFault, DomainFault
 from pakit.hashing import HashTable, string_spec, symbol_spec
 from pakit.trie import Trie
 from pakit.unigram import UnigramTable
@@ -142,6 +142,24 @@ def test_vector_that_grows_mid_iteration_faults_at_the_next_step():
     vector.insert(0, b"w")  # shifts every element: the rest would give x again and never y
     with pytest.raises(ContractFault, match="Vector changed size during iteration"):
         next(elements)
+    vector.destroy()
+
+
+@pytest.mark.parametrize(
+    "more, ends",
+    [(lambda: [], False), (lambda: iter(()), False), (lambda: [b"z"], True)],
+    ids=["empty_list", "empty_iterator", "one_element"],
+)
+def test_vector_extend_mid_iteration_ends_it_only_when_it_adds(more, ends):
+    vector = Vector(1, [b"x", b"y"])
+    elements = iter(vector)
+    assert next(elements) == b"x"
+    vector.extend(more())
+    if ends:
+        with pytest.raises(ContractFault, match="Vector changed size during iteration"):
+            next(elements)
+    else:
+        assert list(elements) == [b"y"]
     vector.destroy()
 
 
@@ -384,6 +402,35 @@ def test_compact_table_write_bytes():
         t.insert(rng.randrange(1 << 32).to_bytes(4, "big"), rng.randrange(1 << 16).to_bytes(2, "big"))
     assert _sha256_of_write(t) == "a4f4c13d15cdee6c79d1d9f5d9366f4bf7b802bc66df9a83fe46b599f3330dc7"
     t.destroy()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_sorted_vector_stream_reads_as_a_compact_table(seed):
+    rng = random.Random(seed)
+    pairs = {rng.randrange(1 << 16).to_bytes(2, "big"): rng.randbytes(3) for _ in range(rng.randrange(300))}
+    records = Vector(2 + 3, [key + datum for key, datum in pairs.items()])
+    records.sort()
+    table = _reread(records, lambda s: CompactTable.read(s, 2, 3))
+    assert list(table.items()) == sorted(pairs.items())
+    assert _sha256_of_write(table) == _sha256_of_write(records)
+    table.destroy()
+    records.destroy()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_an_unsorted_vector_stream_is_refused_at_its_first_bad_rank(seed):
+    rng = random.Random(seed)
+    keys = [rng.randrange(1 << 8).to_bytes(2, "big") for _ in range(40)]  # some repeat
+    rank = next(rank for rank in range(1, len(keys)) if keys[rank] <= keys[rank - 1])
+    records = Vector(2 + 1, [key + b"d" for key in keys])
+    stream = BytesIO()
+    records.write(stream)
+    records.destroy()
+    stream.seek(0)
+    before = accounting.totals()
+    with pytest.raises(DecodeFault, match=r"^stream keys not strictly sorted at rank %d$" % rank):
+        CompactTable.read(stream, 2, 1)
+    assert accounting.totals() == before
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pakit import accounting
+from pakit.compact_table import CompactTable
 from pakit.errors import ContractFault, DecodeFault, RangeFault
 from pakit.vector import Vector
 
@@ -73,6 +74,22 @@ def test_concat_element_size_mismatch_faults():
         a.concat(b)
     a.destroy()
     b.destroy()
+
+
+@pytest.mark.parametrize(
+    "other",
+    [lambda: [b"cd"], lambda: b"cd", lambda: None, lambda: CompactTable(2, 0)],
+    ids=["list", "bytes", "None", "CompactTable"],
+)
+def test_concat_of_what_is_not_a_vector_faults(other):
+    v, other = Vector(2, [b"ab"]), other()
+    before = accounting.totals()
+    with pytest.raises(ContractFault, match="^cannot concat a Vector with %s$" % type(other).__name__):
+        v.concat(other)
+    assert accounting.totals() == before  # no new block
+    if isinstance(other, CompactTable):
+        other.destroy()
+    v.destroy()
 
 
 def test_sort_numeric():
