@@ -35,6 +35,9 @@ subtracting _ROUND again is exact.  The result is bit for bit what a
 float32 pack/unpack round trip gives, including the carry to |m| = 1
 at the top of the binade, which becomes 0.5 with the exponent raised
 by one.
+
+`pr.BALANCED` binds `mul`, `cmp` and the `_probability_*` functions, the
+probability view: `add` and `div` clamp at ONE (see `pr` for its rule).
 """
 
 import math
@@ -199,7 +202,6 @@ def _adder(ceiling: int, above):
 
 
 add = _adder(_EXP_MAX, None)
-_probability_add = _adder(0, ONE)  # pr's view: a canonical value >= 0 is >= 1 iff its exponent is >= 1
 
 
 def sub(a: tuple, b: tuple) -> tuple:
@@ -230,6 +232,44 @@ def ln_abs(b: tuple) -> float:
     if significand == 0.0:
         raise DomainFault("log of zero")
     return math.log(abs(significand)) + exponent * _LN2
+
+
+_probability_add = _adder(0, ONE)  # a canonical value >= 0 is >= 1 iff its exponent is >= 1
+
+
+def _probability_from_real(p):
+    """_canonical(p, 0) in one frame; on [0, 1] the exponent stays in range."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainFault("probability %r outside [0, 1]" % (p,))
+    if p == 0.0:
+        return (0.0, 0)
+    m, exp = math.frexp(p)
+    m = (m + _ROUND) - _ROUND  # _rounded, inlined
+    if m == 1.0:  # rounding crossed the top of the binade
+        return (0.5, exp + 1)
+    return (m, exp)
+
+
+def _probability_to_real(b):
+    significand, exponent = b
+    return math.ldexp(significand, exponent)  # the nearest double: 0.0 below its range
+
+
+def _probability_div(a, b):
+    """div clamped at one, tested before dividing so no quotient leaves the exponent range."""
+    significand, _ = b
+    if significand == 0.0:
+        raise DomainFault("division by probability zero")
+    if cmp(a, b) >= 0:
+        return (0.5, 1)
+    return div(a, b)
+
+
+def _probability_neg_ln(b):
+    significand, _ = b
+    if significand == 0.0:
+        return math.inf
+    return -ln_abs(b)
 
 
 def write(stream, b: tuple) -> None:

@@ -40,6 +40,7 @@ index build.  numpy runs only in the order check when a table is read.
 import struct
 from array import array
 from bisect import bisect_left
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -82,21 +83,27 @@ class CompactTable(Records):
     pays one build; `insert` and `delete` search the sorted run itself.
     """
 
-    __slots__ = ("key_size", "datum_size", "_index", "_key_reader", "_pair_from")
+    __slots__ = ("_key_size", "_index", "_key_reader", "_pair_from")
+
+    key_size = property(attrgetter("_key_size"), doc="The size of every key in bytes; read-only.")
 
     def __init__(self, key_size: int, datum_size: int):
         if key_size < 1:
             raise DomainFault("key_size must be >= 1, got %d" % key_size)
         if datum_size < 0:
             raise DomainFault("datum_size must be >= 0, got %d" % datum_size)
-        self.key_size = key_size
-        self.datum_size = datum_size
+        self._key_size = key_size
         self._index = None  # built by the first lookup after a size change
         # pair readers that copy into bytes and hold no export of the pairs after
         # the call, or, for iter_unpack, after the last key
         self._key_reader = struct.Struct("%ds%dx" % (key_size, datum_size))
         self._pair_from = struct.Struct("%ds%ds" % (key_size, datum_size)).unpack_from
         super().__init__(key_size + datum_size)
+
+    @property
+    def datum_size(self) -> int:
+        """The size of every datum in bytes; read-only."""
+        return self._record_size - self._key_size
 
     def _key_at(self, rank: int) -> bytes:
         (key,) = self._key_reader.unpack_from(self._buf, rank * self._record_size)
@@ -128,7 +135,7 @@ class CompactTable(Records):
 
     def lookup(self, key):
         """Return the datum bytes paired with `key`, or None if absent."""
-        key_size = self.key_size
+        key_size = self._key_size
         if type(key) is not bytes or len(key) != key_size:
             key = self._check_size(key, key_size, "key")
         index = self._index
@@ -151,19 +158,19 @@ class CompactTable(Records):
 
     def insert(self, key, datum) -> bool:
         """Map key to datum; returns True if an existing datum was replaced."""
-        key = self._check_size(key, self.key_size, "key")
-        datum = self._check_size(datum, self.datum_size, "datum")
+        key = self._check_size(key, self._key_size, "key")
+        datum = self._check_size(datum, self._record_size - self._key_size, "datum")
         found, rank = self._search(key)
         offset = rank * self._record_size
         if found:
-            self._buf[offset + self.key_size : offset + self._record_size] = datum
+            self._buf[offset + self._key_size : offset + self._record_size] = datum
             return True
         self._splice(offset, offset, key + datum)
         return False
 
     def delete(self, key) -> bool:
         """Remove key if present; returns True iff it was there."""
-        found, rank = self._search(self._check_size(key, self.key_size, "key"))
+        found, rank = self._search(self._check_size(key, self._key_size, "key"))
         if not found:
             return False
         offset = rank * self._record_size
@@ -204,7 +211,7 @@ class CompactTable(Records):
 
     def _check_read(self) -> None:
         """DecodeFault unless the keys read are strictly ascending: the stream must obey the key order."""
-        keys = self._column(self.key_size)
+        keys = self._column(self._key_size)
         out_of_order = np.flatnonzero(keys[1:] <= keys[:-1])
         if out_of_order.size:
             raise DecodeFault("stream keys not strictly sorted at rank %d" % (out_of_order[0] + 1))

@@ -19,9 +19,11 @@ an insert that replaces a datum), so the accounted bytes grow as an
 open-addressing table's slots would.  Removes never shrink it.
 """
 
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .accounting import Container
+from .errors import DomainFault
 
 MAX_LOAD = 0.7
 
@@ -59,7 +61,13 @@ class HashTable(Container):
 
     __slots__ = ("_spec", "_map", "_capacity", "_limit")
 
+    spec = property(attrgetter("_spec"), doc="The spec the table was built with; read-only.")
+    capacity = property(attrgetter("_capacity"), doc="The slots the footprint estimate charges; read-only.")
+
     def __init__(self, spec: HashSpec):
+        key_size = spec.key_size
+        if key_size is not None and not (isinstance(key_size, int) and key_size >= 1):
+            raise DomainFault("key_size must be an int >= 1, or None for string_spec(), got %r" % (key_size,))
         self._spec = spec
         self._map = {}
         self._capacity = 8
@@ -67,20 +75,11 @@ class HashTable(Container):
         super().__init__(self._slot_bytes * self._capacity)
 
     @property
-    def spec(self) -> HashSpec:
-        """The spec the table was built with; read-only."""
-        return self._spec
-
-    @property
     def _slot_bytes(self) -> int:
         return (self._spec.key_size if self._spec.key_size is not None else 16) + 8
 
     def __len__(self) -> int:
         return len(self._map)
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
 
     @property
     def tombstone_count(self) -> int:

@@ -6,11 +6,12 @@ benchmark can run against native doubles, the log-domain double type,
 the extended-exponent type, or the fixed-point log type by swapping a
 descriptor.  The four descriptors are module values, DOUBLE, LOGPR,
 BALANCED and FIXEDLOG, built once at import: `backends()` lists them in
-that order and `backend_by_name` finds one.  Backend values are opaque: floats for double and logpr,
-integer codes for fixedlog, and (significand, exponent) tuples for
-balanced.  The logpr, balanced and fixedlog descriptors bind their
-module's own functions wherever the module's rule is already the
-probability rule below.
+that order and `backend_by_name` finds one.  Backend values are opaque:
+floats for double and logpr, integer codes for fixedlog, and
+(significand, exponent) tuples for balanced.  The number modules
+compute: LOGPR and FIXEDLOG bind their module's operations, and BALANCED
+balanced's `mul`, `cmp` and probability view (`_probability_*`).  Only
+the double helpers live here, as there is no double module.
 
 Every descriptor follows one rule.  Values are probabilities: `from_real`
 raises DomainFault for any input outside [0, 1], NaN included; `add` and
@@ -24,13 +25,10 @@ what lets conformance and benchmark results be compared across backends.
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import balanced, fixedlog, logpr
 from .errors import DomainFault
-
-_ROUND = balanced._ROUND
 
 
 class PrBackend(NamedTuple):
@@ -110,51 +108,18 @@ LOGPR = PrBackend(
 )
 
 
-def _balanced_from_real(p):
-    """balanced._canonical(p, 0) in one frame; on [0, 1] the exponent stays in range."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainFault("probability %r outside [0, 1]" % (p,))
-    if p == 0.0:
-        return (0.0, 0)
-    m, exp = math.frexp(p)
-    m = (m + _ROUND) - _ROUND  # balanced._rounded, inlined
-    if m == 1.0:  # rounding crossed the top of the binade
-        return (0.5, exp + 1)
-    return (m, exp)
-
-
-def _balanced_to_real(b):
-    significand, exponent = b
-    return math.ldexp(significand, exponent)  # the nearest double: 0.0 below its range
-
-
-def _balanced_div(a, b):
-    """balanced.div clamped at one, tested before dividing so no quotient leaves the exponent range."""
-    significand, _ = b
-    if significand != 0.0 and balanced.cmp(a, b) >= 0:
-        return (0.5, 1)
-    return balanced.div(a, b)
-
-
-def _balanced_neg_ln(b):
-    significand, _ = b
-    if significand == 0.0:
-        return math.inf
-    return -balanced.ln_abs(b)
-
-
-# The extended-exponent type as a probability view: balanced's own values, mul and cmp.
+# The extended-exponent type as a probability view; every value and function is balanced's own.
 BALANCED = PrBackend(
     name="balanced",
     zero=balanced.ZERO,
     one=balanced.ONE,
-    from_real=_balanced_from_real,
-    to_real=_balanced_to_real,
+    from_real=balanced._probability_from_real,
+    to_real=balanced._probability_to_real,
     mul=balanced.mul,
-    div=_balanced_div,
+    div=balanced._probability_div,
     add=balanced._probability_add,
     cmp=balanced.cmp,
-    neg_ln=_balanced_neg_ln,
+    neg_ln=balanced._probability_neg_ln,
     ln_tolerance=2.0 ** -22,
 )
 
@@ -188,22 +153,28 @@ def backend_by_name(name: str) -> PrBackend:
 # --- conformance ---------------------------------------------------------
 
 _CHAIN_FOLD = 16  # fold the accumulator out every so many muls to stay in range
+_VERDICTS = ("FAIL", "pass")  # indexed by a check's `passed`
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One check: its worst error, and the tolerance that error must not exceed."""
+
     name: str
     max_error: float
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.max_error <= self.tolerance
 
 
-@dataclass
-class ConformanceReport:
+class ConformanceReport(NamedTuple):
+    """A backend's checks, in the order run; it passes when every check does."""
+
     backend: str
     sample_count: int
     seed: int
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]
 
     @property
     def passed(self) -> bool:
@@ -211,22 +182,20 @@ class ConformanceReport:
 
     def as_text(self) -> str:
         lines = ["conformance: backend=%s samples=%d seed=%d" % (self.backend, self.sample_count, self.seed)]
-        for check in self.checks:
-            lines.append(
-                "  %-18s max_error=%.3e tolerance=%.3e %s"
-                % (check.name, check.max_error, check.tolerance, "pass" if check.passed else "FAIL")
-            )
-        lines.append("  overall: %s" % ("pass" if self.passed else "FAIL"))
+        lines += [
+            "  %-18s max_error=%.3e tolerance=%.3e %s" % (*check, _VERDICTS[check.passed])
+            for check in self.checks
+        ]
+        lines.append("  overall: %s" % _VERDICTS[self.passed])
         return "\n".join(lines)
 
     def as_key_values(self) -> list[str]:
-        lines = []
-        for check in self.checks:
-            lines.append(
-                "backend=%s check=%s max_error=%.17g tolerance=%.17g pass=%d"
-                % (self.backend, check.name, check.max_error, check.tolerance, int(check.passed))
-            )
-        lines.append("backend=%s check=overall pass=%d" % (self.backend, int(self.passed)))
+        lines = [
+            "backend=%s check=%s max_error=%.17g tolerance=%.17g pass=%d"
+            % (self.backend, *check, check.passed)
+            for check in self.checks
+        ]
+        lines.append("backend=%s check=overall pass=%d" % (self.backend, self.passed))
         return lines
 
 
@@ -240,90 +209,65 @@ def conformance(backend: PrBackend, sample_count: int = 10_000, seed: int = 1) -
     if sample_count < 1:
         raise DomainFault("sample_count must be >= 1, got %d" % sample_count)
     rng = random.Random(seed)
-    report = ConformanceReport(backend.name, sample_count, seed)
     tol = backend.ln_tolerance
+    one, zero, mul, add, cmp, neg_ln = (
+        backend.one, backend.zero, backend.mul, backend.add, backend.cmp, backend.neg_ln
+    )
 
     # Round trip through from_real/to_real, error measured in ln-domain.
     # Samples alternate log-uniform (magnitude coverage) and plain
     # uniform (uncorrelated with exp, so the cycle really gets rounded).
-    worst = 0.0
-    for index in range(sample_count):
-        if index % 2:
-            p = rng.uniform(1e-9, 1.0)
-        else:
-            p = math.exp(rng.uniform(math.log(1e-9), 0.0))
-        error = abs(-math.log(backend.to_real(backend.from_real(p))) - -math.log(p))
-        worst = max(worst, error)
-    report.checks.append(CheckResult("roundtrip", worst, tol, worst <= tol))
-
-    # Long multiplication chain against the logpr oracle, folding the
-    # accumulator onto the real line every few steps so the double
-    # backend never underflows.
+    roundtrip = max(
+        abs(-math.log(backend.to_real(backend.from_real(p))) - -math.log(p))
+        for p in (
+            rng.uniform(1e-9, 1.0) if index % 2 else math.exp(rng.uniform(math.log(1e-9), 0.0))
+            for index in range(sample_count)
+        )
+    )
+    # The multiplication chain's operands, then the values of the exact laws.
     operands = [rng.uniform(0.1, 1.0) for _ in range(sample_count)]
-    total = _chain_neg_ln(backend, operands)
-    oracle_total = _chain_neg_ln(LOGPR, operands)
-    chain_tol = sample_count * tol
-    error = abs(total - oracle_total)
-    report.checks.append(CheckResult("mul_chain", error, chain_tol, error <= chain_tol))
-
-    # Exact algebraic laws.
-    mismatches = 0
     values = [backend.from_real(rng.uniform(1e-6, 1.0)) for _ in range(max(2, sample_count // 10))]
-    for x in values:
-        if backend.mul(x, backend.one) != x:
-            mismatches += 1
-        if backend.mul(x, backend.zero) != backend.zero:
-            mismatches += 1
-        if backend.add(x, backend.zero) != x:
-            mismatches += 1
-    report.checks.append(CheckResult("identity_laws", float(mismatches), 0.0, mismatches == 0))
+    pairs = list(zip(values, values[1:]))
 
-    mismatches = 0
-    for i in range(len(values) - 1):
-        a, b = values[i], values[i + 1]
-        if backend.add(a, b) != backend.add(b, a):
-            mismatches += 1
-        if backend.mul(a, b) != backend.mul(b, a):
-            mismatches += 1
-    report.checks.append(CheckResult("commutativity", float(mismatches), 0.0, mismatches == 0))
-
-    # Monotonicity of addition in probability order.
-    mismatches = 0
-    for i in range(len(values) - 2):
-        a, a_bigger, b = values[i], values[i + 1], values[i + 2]
-        if backend.cmp(a, a_bigger) > 0:
+    def add_breaks_order(a, a_bigger, b):
+        # addition must keep probability order
+        if cmp(a, a_bigger) > 0:
             a, a_bigger = a_bigger, a
-        if backend.cmp(backend.add(a, b), backend.add(a_bigger, b)) > 0:
-            mismatches += 1
-    report.checks.append(CheckResult("add_monotone", float(mismatches), 0.0, mismatches == 0))
+        return cmp(add(a, b), add(a_bigger, b)) > 0
 
-    # cmp must agree with real-valued order once the gap clears quantization.
-    mismatches = 0
-    for i in range(len(values) - 1):
-        a, b = values[i], values[i + 1]
-        gap = backend.neg_ln(a) - backend.neg_ln(b)
-        if abs(gap) <= 3.0 * tol + 1e-15:
-            continue
-        expected = 1 if gap < 0 else -1  # smaller neg-log is the larger value
-        if backend.cmp(a, b) != expected:
-            mismatches += 1
-    report.checks.append(CheckResult("order_consistency", float(mismatches), 0.0, mismatches == 0))
+    def cmp_breaks_order(a, b):
+        # cmp must agree with real-valued order once the gap clears quantization
+        gap = neg_ln(a) - neg_ln(b)  # a smaller neg-log is the larger value
+        return abs(gap) > 3.0 * tol + 1e-15 and cmp(a, b) != (1 if gap < 0 else -1)
 
-    return report
+    # A law's error is its count of mismatches, and it must be 0.
+    return ConformanceReport(backend.name, sample_count, seed, [
+        CheckResult("roundtrip", roundtrip, tol),
+        # a long chain against the logpr oracle, folded onto the real line
+        # every few steps so the double backend never underflows
+        CheckResult(
+            "mul_chain",
+            abs(_chain_neg_ln(backend, operands) - _chain_neg_ln(LOGPR, operands)),
+            sample_count * tol,
+        ),
+        CheckResult("identity_laws", float(sum(
+            (mul(x, one) != x) + (mul(x, zero) != zero) + (add(x, zero) != x) for x in values
+        )), 0.0),
+        CheckResult("commutativity", float(sum(
+            (add(a, b) != add(b, a)) + (mul(a, b) != mul(b, a)) for a, b in pairs
+        )), 0.0),
+        CheckResult("add_monotone", float(sum(map(add_breaks_order, values, values[1:], values[2:]))), 0.0),
+        CheckResult("order_consistency", float(sum(cmp_breaks_order(a, b) for a, b in pairs)), 0.0),
+    ])
 
 
 def _chain_neg_ln(backend: PrBackend, operands: list[float]) -> float:
     """Total -ln of the product of operands, folded every _CHAIN_FOLD muls."""
-    mul = backend.mul
-    from_real = backend.from_real
-    accumulator = backend.one
-    total = 0.0
-    since_fold = 0
-    for p in operands:
+    mul, from_real, neg_ln, one = backend.mul, backend.from_real, backend.neg_ln, backend.one
+    accumulator, total = one, 0.0
+    for step, p in enumerate(operands, 1):
         accumulator = mul(accumulator, from_real(p))
-        since_fold += 1
-        if since_fold == _CHAIN_FOLD:
-            total += backend.neg_ln(accumulator)
-            accumulator = backend.one
-            since_fold = 0
-    return total + backend.neg_ln(accumulator)
+        if step % _CHAIN_FOLD == 0:
+            total += neg_ln(accumulator)
+            accumulator = one
+    return total + neg_ln(accumulator)

@@ -23,6 +23,7 @@ removal would punch holes in the dense numbering.
 
 import struct
 from functools import lru_cache
+from operator import attrgetter
 
 from . import wire
 from .accounting import Container
@@ -41,12 +42,14 @@ def _layout(code: str, length: int) -> struct.Struct:
 class Trie(Container):
     """Interns symbol sequences as consecutive unsigned integers."""
 
-    __slots__ = ("symbol_width", "_index", "_keys", "_key_bytes", "_key_type")
+    __slots__ = ("_symbol_width", "_index", "_keys", "_key_bytes", "_key_type")
+
+    symbol_width = property(attrgetter("_symbol_width"), doc="The size of every symbol in bytes; read-only.")
 
     def __init__(self, symbol_width: int = 4):
         if symbol_width not in (1, 2, 4, 8):
             raise DomainFault("symbol_width must be 1, 2, 4, or 8, got %r" % symbol_width)
-        self.symbol_width = symbol_width
+        self._symbol_width = symbol_width
         self._index: dict[bytes, int] = {}
         self._keys: list[bytes] = []
         self._key_bytes = 0  # symbol_width per symbol held
@@ -59,7 +62,7 @@ class Trie(Container):
     def _key(self, symbols) -> bytes:
         """The packed form of `symbols`, any iterable of integral symbols."""
         string = tuple(symbols)
-        layout = _layout(_STRUCT_CODES[self.symbol_width], len(string))
+        layout = _layout(_STRUCT_CODES[self._symbol_width], len(string))
         try:
             return layout.pack(*string)
         except (TypeError, ValueError, struct.error):
@@ -67,7 +70,7 @@ class Trie(Container):
 
     def _checked(self, string: tuple) -> tuple[int, ...]:
         """Return `string` as plain ints; RangeFault on the first symbol that does not fit."""
-        width = self.symbol_width
+        width = self._symbol_width
         try:
             for symbol in string:
                 if symbol >> 8 * width:  # also true for every negative int
@@ -108,7 +111,7 @@ class Trie(Container):
         """Return the exact sequence that was assigned `index`."""
         if not 0 <= index < len(self._keys):
             raise RangeFault("index %d out of range for %d strings" % (index, len(self._keys)))
-        key, width = self._keys[index], self.symbol_width
+        key, width = self._keys[index], self._symbol_width
         if width == 1:
             return tuple(key)
         return _layout(_STRUCT_CODES[width], len(key) // width).unpack(key)
@@ -120,7 +123,7 @@ class Trie(Container):
         8-byte length, then its symbols, each `symbol_width` bytes, all
         big-endian, which is the packed string as stored.
         """
-        width = self.symbol_width
+        width = self._symbol_width
         write_records = wire.write_records
         wire.write_uint(stream, len(self._keys), 8)
         for key in self._keys:

@@ -17,6 +17,7 @@ the host's byte order.
 
 import sys
 from array import array
+from operator import attrgetter
 
 from . import wire
 from .accounting import Container
@@ -32,25 +33,27 @@ _SWAP = sys.byteorder == "little"  # the stream is big-endian
 class UnigramTable(Container):
     """Per-symbol frequency counters over a fixed alphabet."""
 
-    __slots__ = ("alphabet_size", "_counters", "_total")
+    __slots__ = ("_alphabet_size", "_counters", "_total")
+
+    alphabet_size = property(attrgetter("_alphabet_size"), doc="The number of symbols counted; read-only.")
 
     def __init__(self, alphabet_size: int):
         if alphabet_size < 1:
             raise DomainFault("alphabet_size must be >= 1, got %d" % alphabet_size)
-        self.alphabet_size = alphabet_size
+        self._alphabet_size = alphabet_size
         self._counters = array(_TYPECODES[1], bytes(alphabet_size))
         self._total = 0
         super().__init__(alphabet_size)
 
     def _check_symbol(self, symbol: int) -> None:
-        if not 0 <= symbol < self.alphabet_size:
+        if not 0 <= symbol < self._alphabet_size:
             raise RangeFault(
-                "symbol %d out of range for alphabet of %d" % (symbol, self.alphabet_size)
+                "symbol %d out of range for alphabet of %d" % (symbol, self._alphabet_size)
             )
 
     def _widen_to(self, width: int) -> None:
         self._counters = array(_TYPECODES[width], self._counters)
-        self._resize(self.alphabet_size * width)
+        self._resize(self._alphabet_size * width)
 
     @property
     def counter_width(self) -> int:
@@ -58,7 +61,7 @@ class UnigramTable(Container):
 
     def increment(self, symbol: int, by: int = 1) -> None:
         """Add `by` to the symbol's counter, widening the array if needed."""
-        if not 0 <= symbol < self.alphabet_size:
+        if not 0 <= symbol < self._alphabet_size:
             self._check_symbol(symbol)  # raises
         if by < 1:
             raise DomainFault("increment must be >= 1, got %d" % by)
@@ -75,7 +78,7 @@ class UnigramTable(Container):
 
     def count(self, symbol: int) -> int:
         """Exact frequency of `symbol`, independent of the current width."""
-        if 0 <= symbol < self.alphabet_size:
+        if 0 <= symbol < self._alphabet_size:
             return self._counters[symbol]
         self._check_symbol(symbol)  # raises
 
@@ -85,7 +88,7 @@ class UnigramTable(Container):
 
     def write(self, stream) -> None:
         """Format: alphabet_size (8 bytes), counter width (1), big-endian counters."""
-        wire.write_uint(stream, self.alphabet_size, 8)
+        wire.write_uint(stream, self._alphabet_size, 8)
         counters = self._counters
         wire.write_uint(stream, counters.itemsize, 1)
         if _SWAP:
@@ -117,7 +120,7 @@ class UnigramTable(Container):
         if not isinstance(other, UnigramTable):
             return NotImplemented
         return (
-            self.alphabet_size == other.alphabet_size
+            self._alphabet_size == other._alphabet_size
             # array equality compares values, not typecodes
             and self._counters.itemsize == other._counters.itemsize
             and self._counters == other._counters

@@ -14,6 +14,7 @@ order than unsigned bytes is a matter of encoding the elements (see the
 
 import struct
 from itertools import chain, repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -90,6 +91,8 @@ class Vector(Records):
 
     HEADER_BYTES = 32
 
+    element_size = property(attrgetter("_record_size"), doc="The size of every element in bytes; read-only.")
+
     def __init__(self, element_size: int, elements=()):
         if element_size < 1:
             raise DomainFault("element_size must be >= 1, got %d" % element_size)
@@ -98,11 +101,6 @@ class Vector(Records):
         super().__init__(element_size)
         with self._destroy_on_error():
             self.extend(elements)
-
-    @property
-    def element_size(self) -> int:
-        """The size of every element in bytes; read-only."""
-        return self._record_size
 
     def __getitem__(self, index: int) -> bytes:
         n = len(self._buf) // self._record_size

@@ -289,6 +289,46 @@ def _reread(container, read):
     return read(stream)
 
 
+def _unigram_counts():
+    table = UnigramTable(4)
+    table.increment(1, 300)
+    return table
+
+
+def _trie_of(*strings):
+    trie = Trie(1)
+    for string in strings:
+        trie.index_of(string)
+    return trie
+
+
+# name: (a container holding entries, its shape fields, its read given those fields)
+SHAPED = {
+    "Vector": (lambda: Vector(2, [b"ab", b"cd"]), ("element_size",), lambda s: Vector.read(s, 2)),
+    "CompactTable": (_table, ("key_size", "datum_size"), lambda s: CompactTable.read(s, 2, 1)),
+    "Trie": (lambda: _trie_of(b"ab", b"c"), ("symbol_width",), lambda s: Trie.read(s, 1)),
+    "UnigramTable": (_unigram_counts, ("alphabet_size",), UnigramTable.read),
+}
+
+
+@pytest.mark.parametrize("name", SHAPED)
+def test_shape_fields_are_read_only(name):
+    # each field sizes the container's storage, so assigning one would corrupt it
+    make, fields, read = SHAPED[name]
+    container = make()
+    shape = [getattr(container, field) for field in fields]
+    written = _sha256_of_write(container)
+    for field, value in zip(fields, shape):
+        with pytest.raises(AttributeError):
+            setattr(container, field, value + 1)
+    assert [getattr(container, field) for field in fields] == shape
+    copy = _reread(container, read)
+    assert [getattr(copy, field) for field in fields] == shape
+    assert _sha256_of_write(copy) == _sha256_of_write(container) == written
+    copy.destroy()
+    container.destroy()
+
+
 @pytest.mark.representation
 def test_vector_footprint():
     before = accounting.totals()

@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from pakit import accounting
-from pakit.errors import ContractFault
+from pakit.errors import ContractFault, DomainFault
 from pakit.hashing import (
     HashSpec,
     HashStats,
@@ -393,3 +393,16 @@ def test_items_order_ignores_the_hash_seed():
     for entries in outputs[0]:
         assert len(entries) == 900
         assert entries[-1][1] == 0  # the key removed and inserted again comes last
+
+
+@pytest.mark.parametrize("key_size", [2.5, -100, 0, "8"])
+def test_a_bad_key_size_is_refused_before_anything_registers(key_size):
+    before = accounting.totals()
+    with pytest.raises(DomainFault, match="key_size"):
+        HashTable(symbol_spec(key_size))
+    assert accounting.totals() == before
+
+
+def test_every_key_size_from_one_and_none_are_taken():
+    for spec in (symbol_spec(1), symbol_spec(), string_spec()):
+        HashTable(spec).destroy()

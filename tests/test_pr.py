@@ -136,6 +136,52 @@ def test_conformance_report_renders(backend):
     assert parsed["backend"] == backend.name
 
 
+CHECK_NAMES = ["roundtrip", "mul_chain", "identity_laws", "commutativity", "add_monotone", "order_consistency"]
+
+# double with an add that returns its first operand (commutativity fails), and
+# one whose from_real is off by a relative 1e-9 (roundtrip and mul_chain fail)
+FAULTY = {
+    "first_operand_add": pr.DOUBLE._replace(add=lambda a, b: a),
+    "inexact_from_real": pr.DOUBLE._replace(from_real=lambda p: p * (1.0 - 1e-9)),
+}
+
+
+@pytest.fixture(params=backend_ids() + sorted(FAULTY))
+def any_backend(request):
+    return FAULTY.get(request.param) or pr.backend_by_name(request.param)
+
+
+def test_conformance_report_states_what_it_promises(any_backend):
+    sample_count = 300
+    report = pr.conformance(any_backend, sample_count=sample_count, seed=11)
+    assert [check.name for check in report.checks] == CHECK_NAMES
+    tolerance = any_backend.ln_tolerance
+    assert [check.tolerance for check in report.checks] == [tolerance, sample_count * tolerance] + [0.0] * 4
+    for check in report.checks:
+        assert check.passed == (check.max_error <= check.tolerance)
+    assert report.passed == all(check.passed for check in report.checks)
+    assert report.passed == (any_backend in pr.backends())
+
+
+def test_conformance_renderers_agree(any_backend):
+    report = pr.conformance(any_backend, sample_count=300, seed=12)
+    text_lines = report.as_text().split("\n")
+    assert text_lines[0] == "conformance: backend=%s samples=300 seed=12" % any_backend.name
+    key_value_lines = report.as_key_values()
+    assert len(text_lines) == len(key_value_lines) + 1 == len(CHECK_NAMES) + 2
+    for text, key_values in zip(text_lines[1:-1], key_value_lines):
+        name, error, tolerance, verdict = text.split()
+        fields = dict(pair.split("=") for pair in key_values.split())
+        assert fields["backend"] == any_backend.name
+        assert name == fields["check"]
+        assert error == "max_error=%.3e" % float(fields["max_error"])
+        assert tolerance == "tolerance=%.3e" % float(fields["tolerance"])
+        assert verdict == {"1": "pass", "0": "FAIL"}[fields["pass"]]
+    verdict = "pass" if report.passed else "FAIL"
+    assert text_lines[-1] == "  overall: %s" % verdict
+    assert key_value_lines[-1] == "backend=%s check=overall pass=%d" % (any_backend.name, report.passed)
+
+
 def test_conformance_sample_count_validated(backend):
     with pytest.raises(DomainFault):
         pr.conformance(backend, sample_count=0)
@@ -230,6 +276,12 @@ def test_out_of_range_answers_are_the_same_on_every_backend(backend):
             f(p)
     with pytest.raises(DomainFault):
         backend.div(f(0.5), backend.zero)
+
+
+def test_division_by_zero_has_one_fault_text(backend):
+    for numerator in (backend.zero, backend.from_real(0.5), backend.one):
+        with pytest.raises(DomainFault, match="^division by probability zero$"):
+            backend.div(numerator, backend.zero)
 
 
 def test_a_positive_probability_below_the_double_range_is_zero(backend):
@@ -418,7 +470,7 @@ def test_balanced_from_real_matches_canonical_bit_for_bit():
     ]
     carries = 0
     for p in values:
-        got, want = pr._balanced_from_real(p), balanced._canonical(p, 0)
+        got, want = pr.BALANCED.from_real(p), balanced._canonical(p, 0)
         assert type(got) is tuple
         assert _bits(got) == _bits(want), p
         carries += p > 0.0 and got[1] > math.frexp(p)[1]
