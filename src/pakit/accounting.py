@@ -8,12 +8,28 @@ totals are exactly zero, which is how this library checks for leaks.
 Sizes are logical bytes (element size times capacity plus a fixed header
 estimate), not allocator bytes, so the numbers are portable across
 allocators and runtimes.
+
+`checked_size` is the one rule for a size that a caller passes; every
+function that takes one applies it first, so a refused size registers
+nothing.
 """
 
 import contextlib
+import sys
 import threading
 
 from .errors import ContractFault, DomainFault
+
+
+def checked_size(name: str, value, least: int = 1) -> int:
+    """`value` if it is an int from `least` to sys.maxsize; DomainFault naming `name` otherwise.
+
+    Only `int` itself passes: a bool, a float that is whole and a numpy
+    integer are refused (pass `int(n)`).
+    """
+    if type(value) is int and least <= value <= sys.maxsize:
+        return value
+    raise DomainFault("%s must be an int from %d to sys.maxsize, got %r" % (name, least, value))
 
 
 class AllocationToken:
@@ -36,9 +52,7 @@ class AccountingRegistry:
 
     def register(self, logical_size: int) -> AllocationToken:
         """Register a new block of `logical_size` bytes and return its token."""
-        if logical_size < 0:
-            raise DomainFault("logical_size must be >= 0, got %d" % logical_size)
-        token = AllocationToken(logical_size)
+        token = AllocationToken(checked_size("logical_size", logical_size, 0))
         with self._lock:
             self._blocks += 1
             self._bytes += logical_size
@@ -46,8 +60,8 @@ class AccountingRegistry:
 
     def resize(self, token: AllocationToken, new_size: int) -> None:
         """Declare a new logical size for a live token (realloc analogue)."""
-        if new_size < 0:
-            raise DomainFault("new_size must be >= 0, got %d" % new_size)
+        if new_size < 0:  # inline, as this runs per append
+            checked_size("new_size", new_size, 0)  # raises
         lock = self._lock
         lock.acquire()  # not `with`, which costs about twice as much on this per-append path
         try:

@@ -27,6 +27,7 @@ import time
 from typing import NamedTuple, Optional
 
 from . import pr
+from .accounting import checked_size
 from .errors import DomainFault, Fault
 
 REPETITIONS = 3
@@ -45,8 +46,7 @@ class BenchResult(NamedTuple):
 
 def workload(backend: pr.PrBackend, op_count: int, seed: int):
     """Run the timed chain REPETITIONS times; returns (checksum, [seconds per repetition])."""
-    if op_count < 1:
-        raise DomainFault("op_count must be >= 1, got %d" % op_count)
+    checked_size("op_count", op_count)
 
     mul = backend.mul
     add = backend.add

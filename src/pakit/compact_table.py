@@ -45,7 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DecodeFault, DomainFault, RangeFault
+from .accounting import checked_size
+from .errors import DecodeFault, RangeFault
 from .hashing import MAX_LOAD
 from .vector import Records
 
@@ -88,11 +89,8 @@ class CompactTable(Records):
     key_size = property(attrgetter("_key_size"), doc="The size of every key in bytes; read-only.")
 
     def __init__(self, key_size: int, datum_size: int):
-        if key_size < 1:
-            raise DomainFault("key_size must be >= 1, got %d" % key_size)
-        if datum_size < 0:
-            raise DomainFault("datum_size must be >= 0, got %d" % datum_size)
-        self._key_size = key_size
+        self._key_size = key_size = checked_size("key_size", key_size)
+        datum_size = checked_size("datum_size", datum_size, 0)
         self._index = None  # built by the first lookup after a size change
         # pair readers that copy into bytes and hold no export of the pairs after
         # the call, or, for iter_unpack, after the last key

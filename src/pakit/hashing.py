@@ -22,8 +22,7 @@ open-addressing table's slots would.  Removes never shrink it.
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
-from .accounting import Container
-from .errors import DomainFault
+from .accounting import Container, checked_size
 
 MAX_LOAD = 0.7
 
@@ -65,9 +64,8 @@ class HashTable(Container):
     capacity = property(attrgetter("_capacity"), doc="The slots the footprint estimate charges; read-only.")
 
     def __init__(self, spec: HashSpec):
-        key_size = spec.key_size
-        if key_size is not None and not (isinstance(key_size, int) and key_size >= 1):
-            raise DomainFault("key_size must be an int >= 1, or None for string_spec(), got %r" % (key_size,))
+        if spec.key_size is not None:  # None is string_spec()
+            checked_size("key_size", spec.key_size)
         self._spec = spec
         self._map = {}
         self._capacity = 8

@@ -28,6 +28,7 @@ import random
 from typing import Callable, NamedTuple
 
 from . import balanced, fixedlog, logpr
+from .accounting import checked_size
 from .errors import DomainFault
 
 
@@ -206,8 +207,7 @@ def conformance(backend: PrBackend, sample_count: int = 10_000, seed: int = 1) -
     raises.  The log-domain oracle for the multiplication chain is the
     LOGPR descriptor run over the identical operand stream.
     """
-    if sample_count < 1:
-        raise DomainFault("sample_count must be >= 1, got %d" % sample_count)
+    checked_size("sample_count", sample_count)
     rng = random.Random(seed)
     tol = backend.ln_tolerance
     one, zero, mul, add, cmp, neg_ln = (

@@ -26,7 +26,7 @@ from functools import lru_cache
 from operator import attrgetter
 
 from . import wire
-from .accounting import Container
+from .accounting import Container, checked_size
 from .errors import DecodeFault, DomainFault, RangeFault
 
 _STRING_BYTES = 24  # dict entry and list slot of one string; its symbols add symbol_width each
@@ -47,7 +47,7 @@ class Trie(Container):
     symbol_width = property(attrgetter("_symbol_width"), doc="The size of every symbol in bytes; read-only.")
 
     def __init__(self, symbol_width: int = 4):
-        if symbol_width not in (1, 2, 4, 8):
+        if checked_size("symbol_width", symbol_width) not in _STRUCT_CODES:
             raise DomainFault("symbol_width must be 1, 2, 4, or 8, got %r" % symbol_width)
         self._symbol_width = symbol_width
         self._index: dict[bytes, int] = {}

@@ -20,8 +20,8 @@ from array import array
 from operator import attrgetter
 
 from . import wire
-from .accounting import Container
-from .errors import DecodeFault, DomainFault, OverflowFault, RangeFault
+from .accounting import Container, checked_size
+from .errors import DecodeFault, OverflowFault, RangeFault
 
 # width -> an unsigned typecode of that itemsize, chosen by size since 'L'
 # is 4 or 8 bytes by platform; a later code takes the width over
@@ -38,9 +38,7 @@ class UnigramTable(Container):
     alphabet_size = property(attrgetter("_alphabet_size"), doc="The number of symbols counted; read-only.")
 
     def __init__(self, alphabet_size: int):
-        if alphabet_size < 1:
-            raise DomainFault("alphabet_size must be >= 1, got %d" % alphabet_size)
-        self._alphabet_size = alphabet_size
+        self._alphabet_size = alphabet_size = checked_size("alphabet_size", alphabet_size)
         self._counters = array(_TYPECODES[1], bytes(alphabet_size))
         self._total = 0
         super().__init__(alphabet_size)
@@ -63,8 +61,8 @@ class UnigramTable(Container):
         """Add `by` to the symbol's counter, widening the array if needed."""
         if not 0 <= symbol < self._alphabet_size:
             self._check_symbol(symbol)  # raises
-        if by < 1:
-            raise DomainFault("increment must be >= 1, got %d" % by)
+        if type(by) is not int or by < 1:  # inline, as this runs per token; 64 bits bound it above
+            checked_size("by", by)  # raises
         try:
             self._counters[symbol] += by
         except OverflowError:  # the counter left the width; the array is unchanged

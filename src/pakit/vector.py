@@ -19,8 +19,8 @@ from operator import attrgetter
 import numpy as np
 
 from . import wire
-from .accounting import Container
-from .errors import ContractFault, DomainFault, RangeFault
+from .accounting import Container, checked_size
+from .errors import ContractFault, RangeFault
 
 
 class Records(Container):
@@ -76,7 +76,9 @@ class Records(Container):
     def _read(self, stream):
         """This new, empty store filled from `stream` (the inverse of write); a fault destroys it."""
         with self._destroy_on_error():
-            self._splice(0, 0, wire.read_records(stream, self._record_size)[1])
+            # `+=` copies the payload once, where a slice assignment from bytes copies it twice
+            self._buf += wire.read_records(stream, self._record_size)[1]
+            self._resize(len(self._buf))
             self._check_read()
         return self
 
@@ -94,8 +96,7 @@ class Vector(Records):
     element_size = property(attrgetter("_record_size"), doc="The size of every element in bytes; read-only.")
 
     def __init__(self, element_size: int, elements=()):
-        if element_size < 1:
-            raise DomainFault("element_size must be >= 1, got %d" % element_size)
+        element_size = checked_size("element_size", element_size)
         # copies one element into bytes and holds no export of _buf after the call
         self._element_from = struct.Struct("%ds" % element_size).unpack_from
         super().__init__(element_size)

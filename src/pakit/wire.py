@@ -15,6 +15,9 @@ payload is read chunk by chunk, so a hostile count costs no more memory
 than the stream really holds.
 """
 
+import sys
+
+from .accounting import checked_size
 from .errors import DecodeFault, DomainFault, RangeFault
 
 _WIDTHS = (1, 2, 4, 8)
@@ -28,7 +31,7 @@ READ_CHUNK_BYTES = 1 << 20
 
 def write_uint(stream, value: int, width: int) -> None:
     """Write `value` as exactly `width` big-endian bytes (width in 1/2/4/8)."""
-    if width not in _WIDTHS:
+    if checked_size("width", width) not in _WIDTHS:
         raise DomainFault("width must be one of %r, got %r" % (_WIDTHS, width))
     if value < 0 or value >> (8 * width):
         raise RangeFault("value %d does not fit in %d bytes" % (value, width))
@@ -37,7 +40,7 @@ def write_uint(stream, value: int, width: int) -> None:
 
 def read_uint(stream, width: int) -> int:
     """Read exactly `width` big-endian bytes; inverse of write_uint."""
-    if width not in _WIDTHS:
+    if checked_size("width", width) not in _WIDTHS:
         raise DomainFault("width must be one of %r, got %r" % (_WIDTHS, width))
     return int.from_bytes(read_exact(stream, width), "big")
 
@@ -52,8 +55,8 @@ def write_records(stream, count: int, payload) -> None:
 
 def read_records(stream, record_size: int) -> tuple[int, bytes]:
     """Read one run of `record_size`-byte records; inverse of write_records."""
-    if record_size < 1:
-        raise DomainFault("record_size must be >= 1, got %d" % record_size)
+    if type(record_size) is not int or not 1 <= record_size <= sys.maxsize:  # inline: runs per string of a Trie
+        checked_size("record_size", record_size)  # raises
     header = stream.read(BLOCK_LENGTH_WIDTH)
     if len(header) != BLOCK_LENGTH_WIDTH:
         raise DecodeFault("truncated stream: wanted %d bytes, got %d" % (BLOCK_LENGTH_WIDTH, len(header)))

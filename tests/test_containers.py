@@ -11,11 +11,12 @@ import hashlib
 import random
 import sys
 import threading
+import tracemalloc
 from io import BytesIO
 
 import pytest
 
-from pakit import accounting
+from pakit import accounting, wire
 from pakit.compact_table import CompactTable
 from pakit.errors import ContractFault, DecodeFault, DomainFault
 from pakit.hashing import HashTable, string_spec, symbol_spec
@@ -487,3 +488,23 @@ def test_read_checks_arguments_before_reading(read):
     with pytest.raises(DomainFault):
         read(stream)
     assert stream.tell() == 0
+
+
+@pytest.mark.parametrize(
+    "read", [lambda s: Vector.read(s, 12), lambda s: CompactTable.read(s, 8, 4)], ids=["Vector", "CompactTable"]
+)
+def test_a_read_copies_its_payload_once(read):
+    """A read peaks at the payload read from the stream plus the store it fills, about 2x the payload."""
+    count = wire.READ_CHUNK_BYTES // 12 + 50_000  # one run longer than a chunk, so the wire joins chunks
+    payload = b"".join(rank.to_bytes(8, "big") + b"\xd4\xd4\xd4\xd4" for rank in range(count))
+    stream = BytesIO(count.to_bytes(8, "big") + payload)
+    tracemalloc.start()
+    try:
+        container = read(stream)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(container) == count
+    container.destroy()
+    assert live < 1.1 * len(payload)
+    assert peak <= 2.1 * len(payload)
