@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Tour of the container types: vector, compact table, trie, hash, unigram."""
 
-from pakit import CompactTable, HashTable, Trie, UnigramTable, Vector, accounting, string_spec
+from pakit import CompactTable, HashTable, Trie, UnigramTable, Vector, accounting
 
 print("== Vector: fixed-size elements in one contiguous buffer ==")
 v = Vector(element_size=2)
@@ -37,7 +37,7 @@ print("find(b'te') ->", trie.find(b"te"), "(prefixes are not interned)")
 
 print()
 print("== HashTable: any hashable key, over one dict ==")
-h = HashTable(string_spec())
+h = HashTable(None)
 for i, word in enumerate(b"the quick brown fox jumps over the lazy dog".split()):
     h.insert(word, i)
 print("entries:", len(h), "capacity:", h.capacity)

@@ -35,7 +35,7 @@ from .errors import (
     RangeFault,
     UnderflowFault,
 )
-from .hashing import HashSpec, HashTable, string_spec, symbol_spec
+from .hashing import HashTable, symbol_spec  # symbol_spec: for perfbench/pipeline.py alone, so not in __all__
 from .trie import Trie
 from .unigram import UnigramTable
 from .vector import Vector
@@ -48,7 +48,6 @@ __all__ = [
     "DecodeFault",
     "DomainFault",
     "Fault",
-    "HashSpec",
     "HashTable",
     "OverflowFault",
     "RangeFault",
@@ -62,8 +61,6 @@ __all__ = [
     "hashing",
     "logpr",
     "pr",
-    "string_spec",
-    "symbol_spec",
     "unigram",
     "vector",
     "wire",

@@ -21,15 +21,18 @@ import threading
 from .errors import ContractFault, DomainFault
 
 
-def checked_size(name: str, value, least: int = 1) -> int:
-    """`value` if it is an int from `least` to sys.maxsize; DomainFault naming `name` otherwise.
+def checked_size(name: str, value, least: int = 1, most: int = sys.maxsize) -> int:
+    """`value` if it is an int from `least` to `most`; DomainFault naming `name` otherwise.
 
     Only `int` itself passes: a bool, a float that is whole and a numpy
-    integer are refused (pass `int(n)`).
+    integer are refused (pass `int(n)`).  A caller whose size sets a
+    larger one, such as a block of several of it, lowers `most` so that
+    the larger one stays within sys.maxsize.
     """
-    if type(value) is int and least <= value <= sys.maxsize:
+    if type(value) is int and least <= value <= most:
         return value
-    raise DomainFault("%s must be an int from %d to sys.maxsize, got %r" % (name, least, value))
+    ceiling = "sys.maxsize" if most == sys.maxsize else most
+    raise DomainFault("%s must be an int from %d to %s, got %r" % (name, least, ceiling, value))
 
 
 class AllocationToken:

@@ -91,6 +91,7 @@ class CompactTable(Records):
     def __init__(self, key_size: int, datum_size: int):
         self._key_size = key_size = checked_size("key_size", key_size)
         datum_size = checked_size("datum_size", datum_size, 0)
+        checked_size("key_size + datum_size", key_size + datum_size)  # a pair is one Struct
         self._index = None  # built by the first lookup after a size change
         # pair readers that copy into bytes and hold no export of the pairs after
         # the call, or, for iter_unpack, after the last key

@@ -8,10 +8,9 @@ it; a key whose type has no hash (a list, a `bytearray`) is refused
 with `TypeError`, so no key can change after it is stored.  `None` is
 an ordinary key.
 
-A HashSpec carries only `key_size`, the key width that the logical
-footprint estimate charges per slot; symbol_spec() is for fixed-width
-unsigned integer keys and string_spec() for byte-string keys of any
-length.
+`HashTable(key_size)` takes the key width that the logical footprint
+estimate charges per slot: an int for fixed-width keys, or None for
+keys of any length, charged 16 bytes.
 
 `capacity` is bookkeeping for that estimate: it starts at 8 and
 doubles when an insert would take the entries past MAX_LOAD of it (even
@@ -19,6 +18,7 @@ an insert that replaces a datum), so the accounted bytes grow as an
 open-addressing table's slots would.  Removes never shrink it.
 """
 
+import sys
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
@@ -26,15 +26,8 @@ from .accounting import Container, checked_size
 
 MAX_LOAD = 0.7
 
-
-class HashSpec(NamedTuple):
-    """What a HashTable needs to know of its keys beyond their own hash and equality.
-
-    key_size is the fixed key width in bytes, or None for variable-length
-    keys (charged 16 bytes); it only feeds the logical footprint estimate.
-    """
-
-    key_size: Optional[int]
+# the first block, 8 slots of key_size + 8 bytes and the header, is at most sys.maxsize
+_MOST_KEY_SIZE = (sys.maxsize - Container.HEADER_BYTES) // 8 - 8
 
 
 class HashStats(NamedTuple):
@@ -45,43 +38,35 @@ class HashStats(NamedTuple):
     load: float
 
 
-def symbol_spec(key_size: int = 8) -> HashSpec:
-    """Spec for fixed-width unsigned integer keys."""
-    return HashSpec(key_size)
-
-
-def string_spec() -> HashSpec:
-    """Spec for byte-string keys of any length (embedded zero bytes are fine)."""
-    return HashSpec(None)
+def symbol_spec(key_size: int = 8) -> int:
+    """`key_size` itself.  Its one reader is `perfbench/pipeline.py`; everything else passes the int."""
+    return key_size
 
 
 class HashTable(Container):
     """<key, datum> table over one dict, with an open-addressing table's accounted footprint."""
 
-    __slots__ = ("_spec", "_map", "_capacity", "_limit")
+    __slots__ = ("_key_size", "_slot_bytes", "_map", "_capacity", "_limit")
 
-    spec = property(attrgetter("_spec"), doc="The spec the table was built with; read-only.")
+    key_size = property(attrgetter("_key_size"), doc="The key width each slot is charged, or None; read-only.")
     capacity = property(attrgetter("_capacity"), doc="The slots the footprint estimate charges; read-only.")
 
-    def __init__(self, spec: HashSpec):
-        if spec.key_size is not None:  # None is string_spec()
-            checked_size("key_size", spec.key_size)
-        self._spec = spec
+    def __init__(self, key_size: Optional[int]):
+        if key_size is not None:
+            checked_size("key_size", key_size, most=_MOST_KEY_SIZE)
+        self._key_size = key_size
+        self._slot_bytes = (16 if key_size is None else key_size) + 8
         self._map = {}
         self._capacity = 8
         self._limit = MAX_LOAD * self._capacity
         super().__init__(self._slot_bytes * self._capacity)
-
-    @property
-    def _slot_bytes(self) -> int:
-        return (self._spec.key_size if self._spec.key_size is not None else 16) + 8
 
     def __len__(self) -> int:
         return len(self._map)
 
     @property
     def tombstone_count(self) -> int:
-        """Always 0: a remove leaves no marker behind."""
+        """Always 0: a remove leaves no marker behind.  Its one reader is `perfbench/pipeline.py`."""
         return 0
 
     def insert(self, key, datum) -> bool:

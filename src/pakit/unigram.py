@@ -28,6 +28,8 @@ from .errors import DecodeFault, OverflowFault, RangeFault
 _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 _MAX_COUNT = (1 << 64) - 1
 _SWAP = sys.byteorder == "little"  # the stream is big-endian
+# the block of counters at their widest, 8 bytes, and the header is at most sys.maxsize
+_MOST_ALPHABET = (sys.maxsize - Container.HEADER_BYTES) // 8
 
 
 class UnigramTable(Container):
@@ -38,7 +40,7 @@ class UnigramTable(Container):
     alphabet_size = property(attrgetter("_alphabet_size"), doc="The number of symbols counted; read-only.")
 
     def __init__(self, alphabet_size: int):
-        self._alphabet_size = alphabet_size = checked_size("alphabet_size", alphabet_size)
+        self._alphabet_size = alphabet_size = checked_size("alphabet_size", alphabet_size, most=_MOST_ALPHABET)
         self._counters = array(_TYPECODES[1], bytes(alphabet_size))
         self._total = 0
         super().__init__(alphabet_size)

@@ -19,7 +19,7 @@ import pytest
 from pakit import accounting, wire
 from pakit.compact_table import CompactTable
 from pakit.errors import ContractFault, DecodeFault, DomainFault
-from pakit.hashing import HashTable, string_spec, symbol_spec
+from pakit.hashing import HashTable
 from pakit.trie import Trie
 from pakit.unigram import UnigramTable
 from pakit.vector import Vector
@@ -52,9 +52,9 @@ CONTAINERS = {
         (lambda c: c.counter_width, lambda c: c.alphabet_size) + COMPARISONS,
     ),
     "HashTable": (
-        lambda: HashTable(symbol_spec()),
+        lambda: HashTable(8),
         lambda c: c.find(1),
-        (len, lambda c: c.capacity, lambda c: c.tombstone_count, lambda c: c.items(), lambda c: c.spec) + COMPARISONS,
+        (len, lambda c: c.capacity, lambda c: c.items(), lambda c: c.key_size) + COMPARISONS,
     ),
 }
 CLASSES = {cls.__name__: cls for cls in (Vector, CompactTable, Trie, UnigramTable, HashTable)}
@@ -100,7 +100,7 @@ def _filled(container, pairs):
 ITERATED = {
     "Vector": (lambda: Vector(1, [b"a", b"b"]), iter),
     "CompactTable": (lambda: _filled(CompactTable(1, 0), [(b"a", b""), (b"b", b"")]), lambda c: c.items()),
-    "HashTable": (lambda: _filled(HashTable(symbol_spec()), [(1, 1), (2, 2)]), lambda c: c.items()),
+    "HashTable": (lambda: _filled(HashTable(8), [(1, 1), (2, 2)]), lambda c: c.items()),
 }
 
 
@@ -385,17 +385,17 @@ def test_unigram_footprint():
 
 @pytest.mark.representation
 @pytest.mark.parametrize(
-    "spec, key, empty, full",
+    "key_size, key, empty, full",
     [
-        (symbol_spec(8), int, 176, 4144),
-        (symbol_spec(4), int, 144, 3120),
-        (string_spec(), lambda i: str(i).encode(), 240, 6192),  # key_size None
+        (8, int, 176, 4144),
+        (4, int, 144, 3120),
+        (None, lambda i: str(i).encode(), 240, 6192),
     ],
     ids=["key_size_8", "key_size_4", "key_size_none"],
 )
-def test_hash_table_footprint(spec, key, empty, full):
+def test_hash_table_footprint(key_size, key, empty, full):
     before = accounting.totals()
-    t = HashTable(spec)
+    t = HashTable(key_size)
     assert _grown(before) == empty
     for i in range(100):
         t.insert(key(i), i)

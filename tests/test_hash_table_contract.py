@@ -12,7 +12,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from pakit import accounting
 from pakit.errors import ContractFault
-from pakit.hashing import MAX_LOAD, HashTable, string_spec, symbol_spec
+from pakit.hashing import MAX_LOAD, HashTable
 
 _MISSING = object()
 key_ids = st.integers(0, 15)
@@ -21,13 +21,13 @@ key_ids = st.integers(0, 15)
 class HashTableContract(RuleBasedStateMachine):
     """One table and its oracle; at most one open iterator, marked stale by any mutation."""
 
-    make_spec: staticmethod  # the spec of the table under test
+    KEY_SIZE: object  # the key_size of the table under test, an int or None
     KEYS: tuple  # 16 keys, drawn by position
 
     def __init__(self):
         super().__init__()
         self.start = accounting.totals()
-        self.table = HashTable(self.make_spec())
+        self.table = HashTable(self.KEY_SIZE)
         self.oracle = {}
         self.capacity = self.table.capacity
         self.entries = None  # the open iterator
@@ -112,13 +112,13 @@ class HashTableContract(RuleBasedStateMachine):
 
 
 class SymbolContract(HashTableContract):
-    make_spec = staticmethod(symbol_spec)
+    KEY_SIZE = 8
     # 0 is a falsy key and 2**64 - 1 the widest; the rest share their low 32 bits
     KEYS = (0, (1 << 64) - 1, *(i << 32 | 7 for i in range(1, 15)))
 
 
 class StringContract(HashTableContract):
-    make_spec = staticmethod(string_spec)
+    KEY_SIZE = None
     # b"" is a falsy key; embedded and trailing zero bytes tell keys apart
     KEYS = (b"", b"\x00", b"a\x00", b"a\x00b", *(b"w%d" % i for i in range(12)))
 
