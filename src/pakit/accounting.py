@@ -20,6 +20,8 @@ import threading
 
 from .errors import ContractFault, DomainFault
 
+_MAX_SIZE = sys.maxsize  # a module constant reads faster than sys.maxsize on the per-append path
+
 
 def checked_size(name: str, value, least: int = 1, most: int = sys.maxsize) -> int:
     """`value` if it is an int from `least` to `most`; DomainFault naming `name` otherwise.
@@ -62,8 +64,8 @@ class AccountingRegistry:
         return token
 
     def resize(self, token: AllocationToken, new_size: int) -> None:
-        """Declare a new logical size for a live token (realloc analogue)."""
-        if new_size < 0:  # inline, as this runs per append
+        """Declare a new logical size for a live token (realloc analogue); the size rule of register holds."""
+        if new_size < 0 or new_size > _MAX_SIZE:  # inline, as this runs per append
             checked_size("new_size", new_size, 0)  # raises
         lock = self._lock
         lock.acquire()  # not `with`, which costs about twice as much on this per-append path

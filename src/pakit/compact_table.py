@@ -210,6 +210,8 @@ class CompactTable(Records):
 
     def _check_read(self) -> None:
         """DecodeFault unless the keys read are strictly ascending: the stream must obey the key order."""
+        if len(self) < 2:
+            return
         keys = self._column(self._key_size)
         out_of_order = np.flatnonzero(keys[1:] <= keys[:-1])
         if out_of_order.size:

@@ -78,9 +78,9 @@ class HashTable(Container):
         table = self._map
         replaced = key in table
         if len(table) + 1 > self._limit:
-            self._capacity *= 2
-            self._limit = MAX_LOAD * self._capacity
-            self._resize(self._slot_bytes * self._capacity)
+            capacity = 2 * self._capacity
+            self._resize(self._slot_bytes * capacity)  # first: a refused size changes nothing
+            self._capacity, self._limit = capacity, MAX_LOAD * capacity
         table[key] = datum
         self._mods += 1
         return replaced

@@ -7,22 +7,30 @@ so n strings always occupy exactly the indices 0..n-1.
 
 There are no nodes and no shared prefixes: each string is stored inline
 as its packed form, its symbols as big-endian `symbol_width`-byte
-unsigned integers, which is exactly its `write` payload (Askitis & Zobel
-2005 store strings inline in the same way).  One dict maps each packed
-string to its index, and one list holds the packed strings in index
-order for the inverse map; `string_of` unpacks on demand and returns
-plain ints.  At width 1 a `bytes` argument is its own packed form, so
-looking it up takes one dict lookup.  Any other argument is made a
-tuple, then packed by a `struct.Struct` cached per width and length, the
-one packer at every width; a symbol that does not pack sends the string
-through the symbol check, which takes `6.0` as `6` and refuses
+unsigned integers (Askitis & Zobel 2005 store strings inline in the
+same way).  One dict maps each packed string to its index, and one list
+holds the packed strings in index order for the inverse map;
+`string_of` unpacks on demand and returns plain ints.  At width 1 a
+`bytes` argument is its own packed form, so looking it up takes one
+dict lookup.  Any other argument is made a tuple, then packed by the
+`struct.Struct` that `wire.uint_struct` caches per width and length,
+the one packer at every width; a symbol that does not pack sends the
+string through the symbol check, which takes `6.0` as `6` and refuses
 `6.5`, anything that is not a number, negatives and symbols too wide.
 The trie registers one accounting block.  Strings cannot be deleted:
 removal would punch holes in the dense numbering.
+
+A stream holds the string count, every string's symbol count as one
+`wire` column, and then the packed strings joined with nothing between
+them, which is the list of packed strings as stored; KenLM's binary
+vocabulary is likewise one block of strings (Heafield 2011).  So a
+string costs its symbols and one column entry on the wire, and `read`
+takes one call for the column and one for the symbols.  Trie streams
+written before this layout, with an 8-byte length before each string,
+do not read.
 """
 
 import struct
-from functools import lru_cache
 from operator import attrgetter
 
 from . import wire
@@ -30,13 +38,6 @@ from .accounting import Container, checked_size
 from .errors import DecodeFault, DomainFault, RangeFault
 
 _STRING_BYTES = 24  # dict entry and list slot of one string; its symbols add symbol_width each
-_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-@lru_cache(maxsize=128)
-def _layout(code: str, length: int) -> struct.Struct:
-    """The packed form of `length` big-endian symbols of struct type `code`."""
-    return struct.Struct(">%d%s" % (length, code))
 
 
 class Trie(Container):
@@ -47,7 +48,7 @@ class Trie(Container):
     symbol_width = property(attrgetter("_symbol_width"), doc="The size of every symbol in bytes; read-only.")
 
     def __init__(self, symbol_width: int = 4):
-        if checked_size("symbol_width", symbol_width) not in _STRUCT_CODES:
+        if checked_size("symbol_width", symbol_width) not in wire.WIDTHS:
             raise DomainFault("symbol_width must be 1, 2, 4, or 8, got %r" % symbol_width)
         self._symbol_width = symbol_width
         self._index: dict[bytes, int] = {}
@@ -62,7 +63,7 @@ class Trie(Container):
     def _key(self, symbols) -> bytes:
         """The packed form of `symbols`, any iterable of integral symbols."""
         string = tuple(symbols)
-        layout = _layout(_STRUCT_CODES[self._symbol_width], len(string))
+        layout = wire.uint_struct(self._symbol_width, len(string))
         try:
             return layout.pack(*string)
         except (TypeError, ValueError, struct.error):
@@ -114,38 +115,48 @@ class Trie(Container):
         key, width = self._keys[index], self._symbol_width
         if width == 1:
             return tuple(key)
-        return _layout(_STRUCT_CODES[width], len(key) // width).unpack(key)
+        return wire.uint_struct(width, len(key) // width).unpack(key)
 
     def write(self, stream) -> None:
-        """Write the string count, then each interned string in index order.
+        """Write the string count, every string's symbol count, then every string's symbols.
 
-        Each string is one run of records (`wire.write_records`): its
-        8-byte length, then its symbols, each `symbol_width` bytes, all
-        big-endian, which is the packed string as stored.
+        The count is 8 bytes, big-endian.  The symbol counts, in index
+        order, are one `wire` column (`wire.write_uints`): one width byte,
+        the narrowest of 1, 2, 4 and 8 that holds the longest string, then
+        each count big-endian at that width.  The symbols follow as the
+        packed strings joined, each symbol `symbol_width` bytes big-endian,
+        with no framing per string.  So an empty trie is its 8-byte count
+        alone, an empty column having no width byte.
         """
-        width = self._symbol_width
-        write_records = wire.write_records
-        wire.write_uint(stream, len(self._keys), 8)
-        for key in self._keys:
-            write_records(stream, len(key) // width, key)
+        keys, width = self._keys, self._symbol_width
+        lengths = list(map(len, keys))
+        if width > 1:
+            lengths = [length // width for length in lengths]
+        wire.write_uint(stream, len(keys), 8)
+        wire.write_uints(stream, wire.uint_array(lengths))
+        stream.write(b"".join(keys))
 
     @classmethod
     def read(cls, stream, symbol_width: int) -> "Trie":
-        """Inverse of write: re-intern every string in index order."""
+        """Inverse of write: one read for the column of symbol counts and one for the symbols."""
         trie = cls(symbol_width)
-        index, keys = trie._index, trie._keys
-        read_records = wire.read_records
         with trie._destroy_on_error():
             count = wire.read_uint(stream, 8)
-            for expected in range(count):
-                raw = read_records(stream, symbol_width)[1]
-                assigned = index.setdefault(raw, expected)
-                if assigned != expected:
-                    raise DecodeFault(
-                        "duplicate string in stream: index %d re-assigned as %d"
-                        % (expected, assigned)
-                    )
-                keys.append(raw)
-            trie._key_bytes = sum(map(len, keys))
+            lengths = wire.read_uints(stream, count)
+            if symbol_width > 1:
+                lengths = [length * symbol_width for length in lengths]
+            payload = wire.read_exact(stream, sum(lengths))
+            # one Struct of `<length>s` fields cuts every string out of the payload in one call
+            keys = list(struct.Struct("%ds" * count % tuple(lengths)).unpack(payload))
+            index = dict(zip(keys, range(count)))
+            if len(index) != count:
+                index = {}
+                for expected, key in enumerate(keys):
+                    assigned = index.setdefault(key, expected)
+                    if assigned != expected:
+                        raise DecodeFault(
+                            "duplicate string in stream: index %d re-assigned as %d" % (expected, assigned)
+                        )
+            trie._index, trie._keys, trie._key_bytes = index, keys, len(payload)
             trie._resize(trie._payload())
         return trie

@@ -9,25 +9,20 @@ one byte per symbol.  The running total is kept in 64 bits for O(1)
 normalization.
 
 The counters are a stdlib `array` whose unsigned typecode has exactly
-the counter width, so `increment` is one indexed add that widens only
-when the array raises `OverflowError`, and `count` is one index: neither
-makes a numpy call.  The stream holds the counters big-endian whatever
-the host's byte order.
+the counter width (`wire.uint_array`), so `increment` is one indexed add
+that widens only when the array raises `OverflowError`, and `count` is
+one index: neither makes a numpy call.  The stream holds the counters
+as one `wire` column, big-endian whatever the host's byte order.
 """
 
 import sys
-from array import array
 from operator import attrgetter
 
 from . import wire
 from .accounting import Container, checked_size
 from .errors import DecodeFault, OverflowFault, RangeFault
 
-# width -> an unsigned typecode of that itemsize, chosen by size since 'L'
-# is 4 or 8 bytes by platform; a later code takes the width over
-_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 _MAX_COUNT = (1 << 64) - 1
-_SWAP = sys.byteorder == "little"  # the stream is big-endian
 # the block of counters at their widest, 8 bytes, and the header is at most sys.maxsize
 _MOST_ALPHABET = (sys.maxsize - Container.HEADER_BYTES) // 8
 
@@ -41,7 +36,7 @@ class UnigramTable(Container):
 
     def __init__(self, alphabet_size: int):
         self._alphabet_size = alphabet_size = checked_size("alphabet_size", alphabet_size, most=_MOST_ALPHABET)
-        self._counters = array(_TYPECODES[1], bytes(alphabet_size))
+        self._counters = wire.uint_array(bytes(alphabet_size), 1)
         self._total = 0
         super().__init__(alphabet_size)
 
@@ -52,7 +47,7 @@ class UnigramTable(Container):
             )
 
     def _widen_to(self, width: int) -> None:
-        self._counters = array(_TYPECODES[width], self._counters)
+        self._counters = wire.uint_array(self._counters, width)
         self._resize(self._alphabet_size * width)
 
     @property
@@ -87,14 +82,13 @@ class UnigramTable(Container):
         return self._total
 
     def write(self, stream) -> None:
-        """Format: alphabet_size (8 bytes), counter width (1), big-endian counters."""
+        """Format: alphabet_size (8 bytes), then the counters as one `wire` column.
+
+        The column is the counter width (1 byte), then every counter
+        big-endian at that width (`wire.write_uints`).
+        """
         wire.write_uint(stream, self._alphabet_size, 8)
-        counters = self._counters
-        wire.write_uint(stream, counters.itemsize, 1)
-        if _SWAP:
-            counters = counters[:]
-            counters.byteswap()
-        stream.write(counters.tobytes())
+        wire.write_uints(stream, self._counters)
 
     @classmethod
     def read(cls, stream) -> "UnigramTable":
@@ -102,18 +96,11 @@ class UnigramTable(Container):
         alphabet_size = wire.read_uint(stream, 8)
         if alphabet_size < 1:
             raise DecodeFault("alphabet_size must be >= 1, got %d" % alphabet_size)
-        width = wire.read_uint(stream, 1)
-        if width not in _TYPECODES:
-            raise DecodeFault("invalid counter width %d" % width)
-        raw = wire.read_exact(stream, alphabet_size * width)  # before any registration
+        counters = wire.read_uints(stream, alphabet_size)  # before any registration
         table = cls(alphabet_size)
-        counters = array(_TYPECODES[width])
-        counters.frombytes(raw)
-        if _SWAP:
-            counters.byteswap()
         table._counters = counters
         table._total = sum(counters)
-        table._resize(alphabet_size * width)
+        table._resize(alphabet_size * counters.itemsize)
         return table
 
     def __eq__(self, other) -> bool:

@@ -22,6 +22,8 @@ from . import wire
 from .accounting import Container, checked_size
 from .errors import ContractFault, RangeFault
 
+_EXTEND_BATCH = 256  # elements that one join of Vector.extend holds
+
 
 class Records(Container):
     """Records of one fixed size in one bytearray: the store of `Vector` and `CompactTable`."""
@@ -50,7 +52,7 @@ class Records(Container):
         return value
 
     def _splice(self, start: int, stop: int, records) -> None:
-        """Put `records` in place of the bytes from start to stop; every size change but an append's."""
+        """Put `records` in place of the bytes from start to stop; every size change but an append's or an extend's."""
         self._buf[start:stop] = records
         self._mods += 1
         self._resize(len(self._buf))
@@ -65,7 +67,9 @@ class Records(Container):
 
         numpy orders `S` values with trailing NULs stripped: for one fixed
         width that is unsigned byte order.  The array holds no export of the
-        bytearray, so a caller drops it before the size changes.
+        bytearray, so a caller drops it before the size changes.  numpy
+        refuses an `S` width from 2**31 bytes on, so a caller with fewer
+        than two records, which have no order, builds no view.
         """
         return np.ndarray((len(self),), dtype="S%d" % width, buffer=self._buf, strides=(self._record_size,))
 
@@ -140,15 +144,30 @@ class Vector(Records):
         self._resize(len(self._buf))
 
     def extend(self, elements) -> None:
-        """Append every element, checked as `append` checks it; all or nothing, one resize."""
+        """Append every element, checked as `append` checks it; all or nothing, one resize.
+
+        Every element is checked before any is appended.  They are then
+        joined onto the buffer _EXTEND_BATCH at a time, since `b"".join`
+        holds an 80-byte buffer view per element while it runs.
+        """
         size = self._record_size
-        joined = b"".join([
+        checked = [
             element if type(element) is bytes and len(element) == size
             else self._check_size(element, size, "element")
             for element in elements
-        ])
-        if joined:  # an empty extend changes nothing, so it ends no iteration
-            self._splice(len(self._buf), len(self._buf), joined)
+        ]
+        if not checked:  # an empty extend changes nothing, so it ends no iteration
+            return
+        buf = self._buf
+        end = len(buf)
+        try:
+            for start in range(0, len(checked), _EXTEND_BATCH):
+                buf += b"".join(checked[start : start + _EXTEND_BATCH])
+        except BaseException:  # say, MemoryError: drop the batches already joined
+            del buf[end:]
+            raise
+        self._mods += 1
+        self._resize(len(buf))
 
     def insert(self, position: int, element) -> None:
         """Insert `element` so it ends up at `position`; 0 <= position <= len."""
@@ -175,7 +194,8 @@ class Vector(Records):
 
     def sort(self) -> None:
         """Sort elements in place in unsigned lexicographic byte order."""
-        self._column(self._record_size).sort()
+        if len(self) > 1:  # fewer have no order, and need no view numpy may refuse to build
+            self._column(self._record_size).sort()
 
     @classmethod
     def read(cls, stream, element_size: int) -> "Vector":

@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 import time
 
@@ -111,6 +112,19 @@ def test_negative_sizes_fault():
     with pytest.raises(DomainFault):
         reg.resize(token, -2)
     reg.release(token)
+
+
+def test_resize_past_sys_maxsize_is_refused_as_register_refuses_it():
+    reg = AccountingRegistry()
+    token = reg.register(4)
+    for size in (sys.maxsize + 1, 2**64, 2**100):
+        with pytest.raises(DomainFault, match="new_size must be an int from 0 to sys.maxsize"):
+            reg.resize(token, size)
+        assert (reg.totals(), token.size) == ((1, 4), 4)
+    reg.resize(token, sys.maxsize)  # the largest block register takes
+    assert reg.totals() == (1, sys.maxsize)
+    reg.release(token)
+    assert reg.totals() == (0, 0)
 
 
 def test_matches_shadow_ledger_over_random_operations():

@@ -403,6 +403,21 @@ def test_every_key_size_from_one_and_none_are_taken():
         HashTable(key_size).destroy()
 
 
+def test_an_insert_past_the_largest_block_changes_nothing():
+    # the widest key whose first block of 8 slots fits sys.maxsize bytes
+    t = HashTable((sys.maxsize - 48) // 8 - 8)
+    for i in range(5):
+        t.insert(i, i)
+    before, limit = accounting.totals(), t._limit
+    # a sixth entry would double the slots, a block past sys.maxsize bytes
+    with pytest.raises(DomainFault, match="new_size must be an int from 0 to sys.maxsize"):
+        t.insert(5, 5)
+    assert (t.capacity, t._limit, accounting.totals()) == (8, limit, before)
+    assert (len(t), 5 in t, list(t.items())) == (5, False, [(i, i) for i in range(5)])
+    assert t.find(4) == 4
+    t.destroy()
+
+
 # read by perfbench/pipeline.py alone; once it stops, they go from hashing.py, __init__.py and this test
 BENCHMARK_NAMES = ("symbol_spec", "tombstone_count")
 

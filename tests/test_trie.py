@@ -173,8 +173,8 @@ def test_whole_trie_is_one_accounting_block():
 
 
 def test_write_format_is_unchanged():
-    # Digest taken from the per-node trie that the edge store replaced, so it
-    # pins the wire format byte for byte.
+    # Pins the layout byte for byte: the count, one width byte, a column of
+    # symbol counts, then the symbols.
     t = Trie(2)
     strings = [
         (3,), (3, 300), (), (1, 2, 3, 4), (300,), (65535, 0, 65535), (7, 7, 7, 7, 7), (3, 300, 1),
@@ -183,9 +183,10 @@ def test_write_format_is_unchanged():
         t.index_of(s)
     stream = BytesIO()
     t.write(stream)
-    assert len(stream.getvalue()) == 110
+    assert len(stream.getvalue()) == 55
+    assert stream.getvalue() == _stream(2, strings)
     assert hashlib.sha256(stream.getvalue()).hexdigest() == (
-        "b206c3d19ff19319566f73b7be3d6588eaf83a30ce22a80de85afe5e6b379c8f"
+        "58c6131398ec80ff69848f6dcdacb6c73a4440e722c17f97e72f2ada20630c0e"
     )
     t.destroy()
 
@@ -217,9 +218,7 @@ def test_find_symbol_out_of_range_faults():
 
 def test_read_rejects_duplicate_string():
     # two strings, both (5,) at width 1
-    stream = BytesIO(
-        bytes.fromhex("0000000000000002" "0000000000000001" "05" "0000000000000001" "05")
-    )
+    stream = BytesIO(bytes.fromhex("0000000000000002" "01" "01" "01" "05" "05"))
     with pytest.raises(DecodeFault):
         Trie.read(stream, symbol_width=1)
 
@@ -261,7 +260,7 @@ def test_integral_float_symbols_intern_as_ints():
         with pytest.raises(DomainFault, match="symbol 6.5 is not an integer"):
             t.find((6, 6.5))
         assert len(t) == 1
-        assert _written(t) == struct.pack(">QQ", 1, 1) + (6).to_bytes(width, "big")
+        assert _written(t) == struct.pack(">QBB", 1, 1, 1) + (6).to_bytes(width, "big")
         t.destroy()
 
 
@@ -319,9 +318,8 @@ def test_every_form_of_one_string_is_one_key(form):
         assert t.index_of(form(b"")) == 3
         assert [t.string_of(index) for index in range(len(t))] == [tuple(string) for string in strings]
         # each symbol big-endian at the trie's width, whatever form it came in
-        assert _written(t) == struct.pack(">Q", len(strings)) + b"".join(
-            struct.pack(">Q", len(string)) + b"".join(symbol.to_bytes(width, "big") for symbol in string)
-            for string in strings
+        assert _written(t) == struct.pack(">QB", len(strings), 1) + bytes(map(len, strings)) + b"".join(
+            symbol.to_bytes(width, "big") for string in strings for symbol in string
         )
         t.destroy()
 
@@ -350,17 +348,14 @@ def test_bytes_at_a_wider_width_are_symbols(width):
     assert t.find(bytes([0] * (width - 1) + [97])) is None  # not read as one packed symbol
     stream = BytesIO()
     t.write(stream)
-    assert stream.getvalue() == struct.pack(">QQ", 1, 2) + (97).to_bytes(width, "big") + (98).to_bytes(width, "big")
+    assert stream.getvalue() == struct.pack(">QBB", 1, 1, 2) + (97).to_bytes(width, "big") + (98).to_bytes(width, "big")
     t.destroy()
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8])
 def test_read_rejects_a_repeated_string_at_every_width(width):
-    def string(*symbols):
-        return struct.pack(">Q", len(symbols)) + b"".join(s.to_bytes(width, "big") for s in symbols)
-
     before = accounting.totals()
-    stream = BytesIO(struct.pack(">Q", 3) + string(5, 1) + string(2) + string(5, 1))
+    stream = BytesIO(_stream(width, [(5, 1), (2,), (5, 1)]))
     with pytest.raises(DecodeFault, match="index 2 re-assigned as 0"):
         Trie.read(stream, symbol_width=width)
     assert accounting.totals() == before
@@ -396,6 +391,112 @@ def test_a_bytes_hit_at_width_1_takes_no_nested_frame_and_no_tuple():
     t.destroy()
 
 
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_an_empty_trie_is_its_count_alone(width):
+    t = Trie(width)
+    assert _written(t) == bytes(8)
+    stream = BytesIO(bytes(8) + b"tail")
+    loaded = Trie.read(stream, symbol_width=width)
+    assert (len(loaded), stream.read()) == (0, b"tail")
+    loaded.destroy()
+    t.destroy()
+
+
+@pytest.mark.parametrize("column", [0, 3, 5, 7, 9, 255])
+def test_read_rejects_a_column_width_outside_1_2_4_8(column):
+    before = accounting.totals()
+    stream = BytesIO(struct.pack(">QB", 1, column) + bytes(8) + b"a")
+    with pytest.raises(DecodeFault, match="invalid column width %d" % column):
+        Trie.read(stream, symbol_width=1)
+    assert accounting.totals() == before
+
+
+@pytest.mark.parametrize("column", [1, 2, 4, 8])
+def test_read_rejects_a_column_longer_than_the_stream(column):
+    before = accounting.totals()
+    whole = _stream(1, [(1,), (2, 3), ()], column)
+    cut = whole[: 9 + 3 * column - 1]  # the third count lacks its last byte, and no symbol follows
+    with pytest.raises(DecodeFault, match="truncated stream"):
+        Trie.read(BytesIO(cut), symbol_width=1)
+    assert accounting.totals() == before
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_read_rejects_counts_whose_symbols_overrun_the_stream(width):
+    before = accounting.totals()
+    whole = _stream(width, [(1, 2), (3,)])
+    overrun = whole[:10] + bytes([200]) + whole[11:]  # the second string claims 200 symbols, not 1
+    with pytest.raises(DecodeFault, match="truncated stream: wanted %d bytes, got %d" % (202 * width, 3 * width)):
+        Trie.read(BytesIO(overrun), symbol_width=width)
+    assert accounting.totals() == before
+
+
+@pytest.mark.parametrize("column", [1, 2, 4, 8])
+def test_read_rejects_a_repeat_at_every_column_width(column):
+    before = accounting.totals()
+    stream = BytesIO(_stream(2, [(5, 1), (2,), (), (2,), (5, 1)], column))
+    with pytest.raises(DecodeFault, match="index 3 re-assigned as 1"):
+        Trie.read(stream, symbol_width=2)
+    assert accounting.totals() == before
+
+
+@pytest.mark.parametrize("column", [1, 2, 4, 8])
+def test_read_takes_a_column_wider_than_it_needs(column):
+    strings = [(1, 300), (), (65535,)]
+    t = Trie.read(BytesIO(_stream(2, strings, column)), symbol_width=2)
+    assert [t.string_of(index) for index in range(len(t))] == strings
+    assert _written(t) == _stream(2, strings, 1)  # written back at the narrowest width
+    t.destroy()
+
+
+def test_a_hostile_count_allocates_about_the_stream():
+    before = accounting.totals()
+    stream = BytesIO(struct.pack(">QB", 2**40, 1) + bytes(91))  # 100 bytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with pytest.raises(DecodeFault, match="truncated stream"):
+            Trie.read(stream, symbol_width=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_384  # the trie, the fault and the stream's 91 bytes, nothing near 2**40
+    assert accounting.totals() == before
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_round_trips_across_the_column_widths(width):
+    top = (1 << 8 * width) - 1
+    long = tuple(range(255))
+    strings = [(), long, (top,), long + (top,), (0,)]  # 255 symbols, then 256: the column widens 1 -> 2
+    for stored, column in ((strings[:3], 1), (strings, 2)):
+        t = Trie(width)
+        for string in stored:
+            t.index_of(string)
+        written = _written(t)
+        assert written == _stream(width, stored)
+        assert written[8] == column
+        loaded = Trie.read(BytesIO(written), symbol_width=width)
+        assert [loaded.string_of(index) for index in range(len(loaded))] == stored
+        assert [loaded.find(string) for string in stored] == list(range(len(stored)))
+        assert _written(loaded) == written
+        loaded.destroy()
+        t.destroy()
+
+
+def test_a_string_of_65536_symbols_takes_a_column_of_4_bytes():
+    t = Trie(1)
+    t.index_of(bytes(65_536))
+    t.index_of(b"a")
+    written = _written(t)
+    assert written[:17] == struct.pack(">QBII", 2, 4, 65_536, 1)
+    loaded = Trie.read(BytesIO(written), symbol_width=1)
+    assert (loaded.find(bytes(65_536)), loaded.find(b"a")) == (0, 1)
+    loaded.destroy()
+    t.destroy()
+
+
 def _outcome(call):
     try:
         return "ok", call()
@@ -407,6 +508,25 @@ def _written(trie) -> bytes:
     stream = BytesIO()
     trie.write(stream)
     return stream.getvalue()
+
+
+def _stream(width: int, strings, column: int | None = None) -> bytes:
+    """The stream of `strings` at symbol width `width`: the count, the column of symbol counts, the symbols.
+
+    The column takes `column` bytes per count, by default the narrowest
+    of 1, 2, 4 and 8 that holds the longest string.  With no strings the
+    count is the whole stream.
+    """
+    if not strings:
+        return bytes(8)
+    if column is None:
+        longest = max(map(len, strings), default=0)
+        column = next(size for size in (1, 2, 4, 8) if longest < 1 << 8 * size)
+    return (
+        struct.pack(">QB", len(strings), column)
+        + b"".join(len(string).to_bytes(column, "big") for string in strings)
+        + b"".join(symbol.to_bytes(width, "big") for string in strings for symbol in string)
+    )
 
 
 def _operations(width: int):
@@ -455,7 +575,7 @@ def test_matches_edge_store_oracle(width, data):
         else:
             assert got == expected
         assert len(trie) == len(oracle)
-        assert _written(trie) == _written(oracle)
+        assert _written(trie) == _stream(width, [oracle.string_of(index) for index in range(len(oracle))])
     trie.destroy()
     oracle.destroy()
 

@@ -6,7 +6,8 @@ import pytest
 
 from pakit import accounting
 from pakit.errors import ContractFault, DecodeFault, DomainFault, OverflowFault, RangeFault
-from pakit.unigram import _TYPECODES, UnigramTable
+from pakit.unigram import UnigramTable
+from pakit.wire import _TYPECODES
 
 
 def test_fresh_table_is_all_zero():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from io import BytesIO
 
 import pytest
@@ -295,3 +296,45 @@ def test_extend_with_itself_doubles_it():
     v.extend(v)
     assert contents(v) == [1, 2, 1, 2]
     v.destroy()
+
+
+def test_extend_peaks_at_most_twice_the_payload():
+    elements = [i.to_bytes(12, "big") for i in range(100_000)]
+    v = Vector(12)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        v.extend(elements)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(v) == 100_000 and v[-1] == elements[-1]
+    assert peak <= 2.0 * 12 * 100_000
+    v.destroy()
+
+
+def test_extend_with_a_bad_last_element_appends_nothing():
+    # past the first batch that extend joins
+    v = make([1, 2])
+    before = accounting.totals()
+    with pytest.raises(ContractFault):
+        v.extend([b"\x05"] * 10_000 + [b"\x06\x07"])
+    assert contents(v) == [1, 2]
+    assert accounting.totals() == before
+    v.extend([b"\x05"] * 10_000)
+    assert len(v) == 10_002
+    v.destroy()
+
+
+def test_no_order_to_check_below_two_records_at_any_width():
+    # numpy builds no `S` dtype from 2**31 bytes on, and one record has no order
+    before = accounting.totals()
+    table = CompactTable.read(BytesIO(bytes(8)), 2**40, 2)
+    assert len(table) == 0
+    table.destroy()
+    v = Vector(2**40)
+    v.sort()
+    assert len(v) == 0
+    v.destroy()
+    assert accounting.totals() == before

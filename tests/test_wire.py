@@ -206,3 +206,70 @@ _FRAME = (3).to_bytes(8, "big") + b"abcdef"
 def test_read_records_of_a_cut_frame_faults(cut):
     with pytest.raises(DecodeFault, match="truncated stream"):
         wire.read_records(_CountingReads(_FRAME[:cut]), 2)
+
+
+@pytest.mark.parametrize(
+    "largest, width",
+    [(None, 1), (0, 1), (255, 1), (256, 2), (0xFFFF, 2), (0x10000, 4), (2**32 - 1, 4), (2**32, 8), (2**64 - 1, 8)],
+)
+def test_uint_array_takes_the_narrowest_width(largest, width):
+    values = [] if largest is None else [0, largest, 1]
+    column = wire.uint_array(values)
+    assert (column.itemsize, column.tolist()) == (width, values)
+
+
+def test_uint_array_refuses_what_no_width_holds():
+    for values in ([2**64], [-1], [3, -1]):
+        with pytest.raises(OverflowError):
+            wire.uint_array(values)
+    with pytest.raises(OverflowError):
+        wire.uint_array([256], 1)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_uints_are_a_width_byte_then_big_endian_values(width):
+    values = [0, 1, (1 << 8 * width) - 1, 0x0102030405060708 >> 8 * (8 - width)]
+    stream = BytesIO()
+    wire.write_uints(stream, wire.uint_array(values, width))
+    assert stream.getvalue() == bytes([width]) + b"".join(value.to_bytes(width, "big") for value in values)
+    stream = BytesIO(stream.getvalue() + b"tail")
+    column = wire.read_uints(stream, len(values))
+    assert (column.itemsize, column.tolist()) == (width, values)
+    assert stream.read() == b"tail"  # consumed exactly its own bytes
+
+
+def test_write_uints_leaves_the_column_as_it_was():
+    column = wire.uint_array([1, 2, 300])
+    wire.write_uints(BytesIO(), column)
+    assert (column.itemsize, column.tolist()) == (2, [1, 2, 300])
+
+
+@pytest.mark.parametrize("width", [0, 3, 5, 16, 255])
+def test_read_uints_rejects_a_width_outside_1_2_4_8(width):
+    with pytest.raises(DecodeFault, match="invalid column width %d" % width):
+        wire.read_uints(BytesIO(bytes([width]) + bytes(64)), 2)
+
+
+@pytest.mark.parametrize("cut", [0, 1, 4, 8], ids=lambda cut: "at_%d" % cut)
+def test_read_uints_of_a_cut_column_faults(cut):
+    whole = b"\x04" + bytes(8)  # two 4-byte values
+    with pytest.raises(DecodeFault, match="truncated stream"):
+        wire.read_uints(BytesIO(whole[:cut]), 2)
+
+
+def test_read_uints_of_a_hostile_count_faults_without_allocating():
+    with tempfile.TemporaryFile() as tmp:
+        tmp.write(b"\x08" + b"only a few payload bytes")
+        tmp.seek(0)
+        with pytest.raises(DecodeFault):
+            wire.read_uints(tmp, 2**60)
+
+
+def test_a_column_of_no_values_is_no_bytes():
+    for width in (1, 2, 4, 8):
+        stream = BytesIO()
+        wire.write_uints(stream, wire.uint_array([], width))
+        assert stream.getvalue() == b""
+    stream = BytesIO(b"\x03tail")  # not read as a width byte
+    assert wire.read_uints(stream, 0).tolist() == []
+    assert stream.read() == b"\x03tail"
